@@ -114,10 +114,10 @@ stage_perf() {
 }
 
 # Machine-loop perf-regression gate: one large many-threaded cell run
-# serial (1 shard) and sharded (8 shards) must stay bit-identical, and
-# the sharded sim_cycles_per_sec must stay within 20% of the committed
-# baseline. (Refresh with `cargo run --release -p pact-bench --bin
-# probe_machine` and commit the new BENCH_machine.json.)
+# twice must stay bit-identical, and the faster run's
+# sim_cycles_per_sec must stay within 20% of the committed baseline.
+# (Refresh with `cargo run --release -p pact-bench --bin probe_machine`
+# and commit the new BENCH_machine.json.)
 stage_machine_perf() {
     cargo run --release -p pact-bench --bin probe_machine -- \
         --check-against BENCH_machine.json
@@ -138,24 +138,23 @@ stage_obs() {
 }
 
 # Criticality-attribution gate (DESIGN.md §13): `tierctl report` on a
-# fault-injected cell must emit byte-identical artifacts across
-# event-loop shard counts, and the metrics endpoint must answer
-# /healthz and /metrics. Artifacts stay in target/ci-report for the
-# workflow's upload step.
+# fault-injected cell must emit byte-identical artifacts when run
+# twice, and the metrics endpoint must answer /healthz and /metrics.
+# Artifacts stay in target/ci-report for the workflow's upload step.
 stage_obs_report() {
     report_dir="target/ci-report"
     rm -rf "$report_dir"
     fault_spec='drop=0.2,fail=0.6,retries=1,stall=slow:20000:0.5,seed=7'
-    for shards in 1 4; do
-        PACT_FAULTS="$fault_spec" PACT_SHARDS="$shards" \
+    for run in a b; do
+        PACT_FAULTS="$fault_spec" \
             cargo run --release -p pact-bench --bin tierctl -- report \
             --workload gups --policy pact --ratio 1:2 --seed 7 \
-            --out "$report_dir/shards$shards"
+            --out "$report_dir/$run"
     done
     for f in report.md report.json flame.folded; do
-        cmp "$report_dir/shards1/$f" "$report_dir/shards4/$f"
+        cmp "$report_dir/a/$f" "$report_dir/b/$f"
     done
-    echo "    criticality report byte-identical across PACT_SHARDS={1,4}"
+    echo "    criticality report byte-identical across repeated runs"
     if command -v curl > /dev/null 2>&1; then
         # Every accepted connection counts against --max-requests, so
         # readiness is detected from the server's "serving metrics"
@@ -199,9 +198,9 @@ stage_fault() {
 }
 
 # Crash-recovery gate (DESIGN.md §14): capture a fault-injected cell
-# with the retry/backoff machinery loaded, snapshotting under 1 shard;
-# resume every frame under PACT_SHARDS=4 and 7 and demand the
-# report:/digest: summary lines match the uninterrupted run's exactly.
+# with the retry/backoff machinery loaded; resume every frame twice and
+# demand the report:/digest: summary lines match the uninterrupted
+# run's exactly each time.
 # A deliberately corrupted frame must be rejected with exit 2, and the
 # same fault plan must be set on resume — the plan is part of the
 # configuration fingerprint.
@@ -210,15 +209,15 @@ stage_snapshot() {
     rm -rf "$snap_dir"
     mkdir -p "$snap_dir"
     fault_spec='drop=0.2,fail=0.6,retries=2,backoff=2,seed=7'
-    PACT_FAULTS="$fault_spec" PACT_SHARDS=1 \
+    PACT_FAULTS="$fault_spec" \
         cargo run --release -p pact-bench --bin tierctl -- snapshot \
         --workload masim --policy pact --ratio 1:2 --seed 7 --every 8 \
         --out "$snap_dir" | tee "$snap_dir/capture.out"
     grep -E '^(report|digest):' "$snap_dir/capture.out" > "$snap_dir/want.txt"
     frames=0
     for snap in "$snap_dir"/snap_*.pactsnap; do
-        for shards in 4 7; do
-            PACT_FAULTS="$fault_spec" PACT_SHARDS="$shards" \
+        for _ in 1 2; do
+            PACT_FAULTS="$fault_spec" \
                 cargo run --release -p pact-bench --bin tierctl -- resume \
                 --from "$snap" | grep -E '^(report|digest):' > "$snap_dir/got.txt"
             cmp "$snap_dir/want.txt" "$snap_dir/got.txt"
@@ -229,7 +228,7 @@ stage_snapshot() {
         echo "    FAIL: capture run wrote no snapshots"
         exit 1
     }
-    echo "    kill-resume byte-identical across PACT_SHARDS={4,7} for $frames frames"
+    echo "    kill-resume byte-identical on repeated resumes of $frames frames"
     first=$(ls "$snap_dir"/snap_*.pactsnap | head -n 1)
     cp "$first" "$snap_dir/corrupt.pactsnap"
     printf '\377' | dd of="$snap_dir/corrupt.pactsnap" bs=1 seek=100 count=1 conv=notrunc 2> /dev/null
@@ -261,8 +260,8 @@ stage_check() {
 
 # Fleet gate (DESIGN.md §15): the three-tenant noisy-neighbor cell
 # (PACT app + mlc-hog antagonist + zipf-drift store) under migration
-# admission control must print byte-identical output across event-loop
-# shard counts and job-pool widths, and the admission controller must
+# admission control must print byte-identical output across repeated
+# runs and job-pool widths, and the admission controller must
 # actually reject something — a fleet run with zero rejections is not
 # exercising backpressure. Artifacts stay in target/ci-fleet for the
 # workflow's upload step.
@@ -270,26 +269,26 @@ stage_fleet() {
     fleet_dir="target/ci-fleet"
     rm -rf "$fleet_dir"
     mkdir -p "$fleet_dir"
-    for shards in 1 4; do
+    for run in a b; do
         for jobs in 2 4; do
-            PACT_SHARDS="$shards" PACT_JOBS="$jobs" \
+            PACT_JOBS="$jobs" \
                 cargo run --release -p pact-bench --bin tierctl -- fleet \
-                --seed 7 > "$fleet_dir/s${shards}j${jobs}.txt"
+                --seed 7 > "$fleet_dir/${run}j${jobs}.txt"
         done
     done
-    for f in s1j4 s4j2 s4j4; do
-        cmp "$fleet_dir/s1j2.txt" "$fleet_dir/$f.txt"
+    for f in aj4 bj2 bj4; do
+        cmp "$fleet_dir/aj2.txt" "$fleet_dir/$f.txt"
     done
-    grep -q '^admission: admitted=' "$fleet_dir/s1j2.txt"
-    grep -q 'rejected=0$' "$fleet_dir/s1j2.txt" && {
+    grep -q '^admission: admitted=' "$fleet_dir/aj2.txt"
+    grep -q 'rejected=0$' "$fleet_dir/aj2.txt" && {
         echo "    FAIL: fleet cell never rejected a migration order"
         exit 1
     }
-    echo "    fleet byte-identical across PACT_SHARDS={1,4} x PACT_JOBS={2,4}, nonzero rejections"
+    echo "    fleet byte-identical across repeated runs x PACT_JOBS={2,4}, nonzero rejections"
 }
 
-# Fleet perf-regression gate: the probe's serial and sharded runs must
-# stay bit-identical with nonzero rejections, and the sharded
+# Fleet perf-regression gate: the probe's two runs must stay
+# bit-identical with nonzero rejections, and the faster run's
 # sim_cycles_per_sec must stay within 20% of the committed baseline.
 # (Refresh with `cargo run --release -p pact-bench --bin probe_fleet`
 # and commit the new BENCH_fleet.json.)

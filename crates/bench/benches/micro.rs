@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the PACT hot paths: PAC store updates,
-//! reservoir + Freedman-Diaconis recomputation, LLC probes, and engine
-//! throughput.
+//! reservoir + Freedman-Diaconis recomputation, LLC probes, engine
+//! throughput, and the event loop's next-thread pick across thread
+//! counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +9,8 @@ use std::hint::black_box;
 use pact_core::{AdaptiveBins, PacStore, PactConfig};
 use pact_stats::{freedman_diaconis_width, Reservoir, SplitMix64};
 use pact_tiersim::{
-    Access, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId, SpaceSaving, TraceWorkload,
+    Access, AccessStream, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId, SpaceSaving,
+    TraceWorkload, Workload, PAGE_BYTES,
 };
 use pact_workloads::Zipf;
 
@@ -93,6 +95,75 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// Loads per event-loop cell, split evenly over its threads, so every
+/// `event_loop_pick` row is ns per 65,536 accesses.
+const PICK_LOADS: u64 = 1 << 16;
+
+/// `threads` independent random-load threads over 16-page regions.
+#[derive(Debug)]
+struct RandomThreads {
+    threads: u64,
+}
+
+struct RandomStream {
+    x: u64,
+    remaining: u64,
+    base: u64,
+}
+
+impl AccessStream for RandomStream {
+    fn next_access(&mut self) -> Option<Access> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        self.x = self.x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        Some(Access::load(self.base + (self.x >> 16) % (16 * PAGE_BYTES)))
+    }
+}
+
+impl Workload for RandomThreads {
+    fn name(&self) -> String {
+        format!("random-{}", self.threads)
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        self.threads * 16 * PAGE_BYTES
+    }
+
+    fn streams(&self) -> Vec<Box<dyn AccessStream + '_>> {
+        (0..self.threads)
+            .map(|i| {
+                Box::new(RandomStream {
+                    x: 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1),
+                    remaining: PICK_LOADS / self.threads,
+                    base: i * 16 * PAGE_BYTES,
+                }) as Box<dyn AccessStream + '_>
+            })
+            .collect()
+    }
+}
+
+/// The next-thread pick in situ: the same 65,536 random loads spread
+/// over T threads, so the per-access model work is fixed and the rows
+/// differ by the scheduler's cost at T. Paper cells run about 4
+/// threads; the scheduler-bound probes run 256 and 4096.
+fn bench_event_loop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_loop_pick");
+    group.sample_size(10);
+    for threads in [4u64, 8, 64, 256, 4096] {
+        let wl = RandomThreads { threads };
+        let machine = Machine::new(MachineConfig::skylake_cxl(
+            wl.footprint_bytes() / PAGE_BYTES / 2,
+        ))
+        .unwrap();
+        group.bench_function(&format!("threads_{threads}_64k_loads"), |b| {
+            b.iter(|| machine.run(black_box(&wl), &mut FirstTouch::new()));
+        });
+    }
+    group.finish();
+}
+
 fn bench_samplers(c: &mut Criterion) {
     c.bench_function("chmu_space_saving_observe", |b| {
         let mut ss = SpaceSaving::new(2_048);
@@ -127,6 +198,7 @@ criterion_group!(
     bench_binning,
     bench_llc,
     bench_engine,
+    bench_event_loop,
     bench_samplers,
     bench_top_bin
 );

@@ -1,24 +1,21 @@
 //! Fleet perf probe: runs the three-tenant noisy-neighbor cell
 //! (GUPS + `mlc-hog` + `zipf-drift`, DESIGN.md §15) under migration
-//! admission control twice — serial event loop (`shards = 1`) and
-//! sharded (`PACT_SHARDS`, default 8) — checks the two reports are
-//! bit-identical (admission decisions are shard-invariant by
-//! construction), asserts the admission controller actually engaged
-//! (nonzero rejections), and records wall time and
-//! simulated-cycles-per-second in `BENCH_fleet.json`.
+//! admission control twice, checks the two reports are byte-identical,
+//! asserts the admission controller actually engaged (nonzero
+//! rejections), and records wall time and simulated-cycles-per-second
+//! in `BENCH_fleet.json`.
 //!
 //! ```text
 //! cargo run --release -p pact-bench --bin probe_fleet
-//! PACT_SHARDS=16 cargo run --release -p pact-bench --bin probe_fleet
 //! cargo run --release -p pact-bench --bin probe_fleet -- --check-against BENCH_fleet.json
 //! ```
 //!
 //! With `--check-against PATH` the probe becomes the CI
-//! perf-regression gate (`fleet-perf` stage): it compares the fresh
-//! sharded `sim_cycles_per_sec` against the committed baseline at
-//! `PATH` and exits 1 if the runs stopped being bit-identical, the
-//! controller stopped rejecting, or the sharded rate regressed by more
-//! than 20%.
+//! perf-regression gate (`fleet-perf` stage): it compares the faster
+//! run's `sim_cycles_per_sec` against the committed baseline at `PATH`
+//! and exits 1 if the runs stopped being byte-identical, the
+//! controller stopped rejecting, or the rate regressed by more than
+//! 20%.
 
 use std::time::Instant;
 
@@ -47,13 +44,12 @@ fn tenants() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-fn cell_cfg(shards: usize) -> MachineConfig {
+fn cell_cfg() -> MachineConfig {
     let footprint: u64 = tenants().iter().map(|t| t.footprint_bytes()).sum();
     // Half the footprint fits the fast tier, so the policy has real
     // placement decisions and the admission controller real traffic.
     let mut cfg = MachineConfig::skylake_cxl(footprint / PAGE_BYTES / 2);
     cfg.seed = SEED;
-    cfg.shards = shards;
     cfg.track_page_stalls = true;
     cfg.tenants = vec![
         TenantSpec::new("gups", 4),
@@ -67,9 +63,9 @@ fn cell_cfg(shards: usize) -> MachineConfig {
     cfg
 }
 
-fn run_cell(shards: usize) -> (RunReport, f64) {
+fn run_cell() -> (RunReport, f64) {
     // Invariant: the probe's config is fixed and validated by tests.
-    let machine = Machine::new(cell_cfg(shards)).expect("probe config is valid");
+    let machine = Machine::new(cell_cfg()).expect("probe config is valid");
     // Invariant: POLICY is a literal member of ALL_POLICIES.
     let mut policy = make_policy(POLICY).expect("probe policy is known");
     let workloads = tenants();
@@ -82,18 +78,14 @@ fn run_cell(shards: usize) -> (RunReport, f64) {
     (report, t.elapsed().as_secs_f64())
 }
 
-fn check_against(
-    baseline_json: &str,
-    fresh_identical: bool,
-    fresh_sharded_cps: f64,
-) -> Vec<String> {
+fn check_against(baseline_json: &str, fresh_identical: bool, fresh_best_cps: f64) -> Vec<String> {
     gate::check_against(
         baseline_json,
-        "\"sharded\":",
-        "sharded",
-        "sharded fleet run is no longer bit-identical to serial, or stopped rejecting",
+        gate::BEST_ANCHOR,
+        "best",
+        "repeated fleet run is no longer byte-identical to the first, or stopped rejecting",
         fresh_identical,
-        fresh_sharded_cps,
+        fresh_best_cps,
     )
 }
 
@@ -101,54 +93,40 @@ fn main() {
     let check_path = gate::check_path_from_args("probe_fleet");
     pact_bench::validate_fault_env();
     pact_bench::arm_hostprof_from_env();
-    let shards = pact_bench::env::shards_override()
-        .ok()
-        .flatten()
-        .unwrap_or(8);
     eprintln!(
         "[probe_fleet] gups+mlc-hog+zipf-drift under '{POLICY}' with \
-         budget {BUDGET_PER_WINDOW}/window, serial vs {shards} shards"
+         budget {BUDGET_PER_WINDOW}/window, two runs"
     );
 
-    let (serial_report, serial_secs) = run_cell(1);
-    let (sharded_report, sharded_secs) = run_cell(shards);
+    let (first, first_secs) = run_cell();
+    let (repeat, repeat_secs) = run_cell();
 
-    let admitted: u64 = serial_report
-        .tenants
-        .iter()
-        .map(|t| t.admitted_orders)
-        .sum();
-    let rejected: u64 = serial_report
-        .tenants
-        .iter()
-        .map(|t| t.rejected_orders)
-        .sum();
+    let admitted: u64 = first.tenants.iter().map(|t| t.admitted_orders).sum();
+    let rejected: u64 = first.tenants.iter().map(|t| t.rejected_orders).sum();
     // The gate folds "controller stayed engaged" into the identity bit:
     // a fleet probe that never rejects is not measuring admission
     // control at all.
-    let identical = serial_report.to_json() == sharded_report.to_json()
-        && serial_report.page_stalls == sharded_report.page_stalls
+    let identical = first.to_json() == repeat.to_json()
+        && first.page_stalls == repeat.page_stalls
         && rejected > 0;
-    let cycles = serial_report.total_cycles;
-    let speedup = serial_secs / sharded_secs;
+    let cycles = first.total_cycles;
     eprintln!(
-        "[probe_fleet] serial {serial_secs:.2}s, {shards} shards {sharded_secs:.2}s \
-         (speedup {speedup:.2}x), admitted {admitted}, rejected {rejected}, \
-         identical: {identical}"
+        "[probe_fleet] first {first_secs:.2}s, repeat {repeat_secs:.2}s, \
+         admitted {admitted}, rejected {rejected}, identical: {identical}"
     );
     pact_bench::emit_hostprof_summary();
 
-    let sharded_cps = cycles as f64 / sharded_secs;
+    let best_cps = cycles as f64 / first_secs.min(repeat_secs);
     if let Some(path) = &check_path {
         let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(2);
         });
-        let errors = check_against(&baseline, identical, sharded_cps);
+        let errors = check_against(&baseline, identical, best_cps);
         if errors.is_empty() {
             println!(
                 "[probe_fleet] perf gate vs {path} OK: bit_identical, \
-                 {rejected} rejections, sharded {sharded_cps:.0} cycles/s within tolerance"
+                 {rejected} rejections, best {best_cps:.0} cycles/s within tolerance"
             );
             return;
         }
@@ -158,13 +136,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let timing = |j: &mut JsonWriter, nshards: u64, secs: f64| {
-        j.begin_object();
-        j.field_u64("shards", nshards);
-        j.field_f64("wall_seconds", secs);
-        j.field_f64("sim_cycles_per_sec", cycles as f64 / secs);
-        j.end_object();
-    };
     let mut j = JsonWriter::new();
     j.begin_object();
     j.field_str("workload", "fleet:gups+mlc-hog+zipf-drift");
@@ -173,11 +144,7 @@ fn main() {
     j.field_u64("sim_cycles", cycles);
     j.field_u64("admitted_orders", admitted);
     j.field_u64("rejected_orders", rejected);
-    j.key("serial");
-    timing(&mut j, 1, serial_secs);
-    j.key("sharded");
-    timing(&mut j, shards as u64, sharded_secs);
-    j.field_f64("speedup", speedup);
+    gate::write_repeat_timings(&mut j, cycles, [first_secs, repeat_secs]);
     j.field_bool("bit_identical", identical);
     j.end_object();
     let mut json = j.finish();
@@ -187,36 +154,34 @@ fn main() {
         Err(e) => eprintln!("warning: could not write BENCH_fleet.json: {e}"),
     }
     print!("{json}");
-    assert!(identical, "sharded fleet run diverged or never rejected");
+    assert!(identical, "repeated fleet run diverged or never rejected");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"workload":"fleet:gups+mlc-hog+zipf-drift","serial":{"shards":1,"wall_seconds":4.0,"sim_cycles_per_sec":2000000.0},"sharded":{"shards":8,"wall_seconds":1.0,"sim_cycles_per_sec":8000000.0},"speedup":4.0,"bit_identical":true}"#;
+    const BASELINE: &str = r#"{"workload":"fleet:gups+mlc-hog+zipf-drift","first":{"wall_seconds":1.2,"sim_cycles_per_sec":6666666.0},"repeat":{"wall_seconds":1.0,"sim_cycles_per_sec":8000000.0},"best":{"wall_seconds":1.0,"sim_cycles_per_sec":8000000.0},"bit_identical":true}"#;
 
     #[test]
-    fn gate_reads_the_sharded_block() {
+    fn gate_reads_the_best_block() {
         assert!(check_against(BASELINE, true, 7_000_000.0).is_empty());
         let errs = check_against(BASELINE, true, 5_000_000.0);
         assert_eq!(errs.len(), 1);
         assert!(
-            errs[0].contains("sharded sim_cycles_per_sec regressed"),
+            errs[0].contains("best sim_cycles_per_sec regressed"),
             "{}",
             errs[0]
         );
         let errs = check_against(BASELINE, false, 7_000_000.0);
-        assert!(errs.iter().any(|e| e.contains("bit-identical")));
+        assert!(errs.iter().any(|e| e.contains("byte-identical")));
     }
 
     #[test]
-    fn probe_configs_validate() {
-        for shards in [1, 8, 16] {
-            let cfg = cell_cfg(shards);
-            cfg.validate().expect("probe config is valid");
-            assert_eq!(cfg.tenants.len(), tenants().len());
-        }
+    fn probe_config_validates() {
+        let cfg = cell_cfg();
+        cfg.validate().expect("probe config is valid");
+        assert_eq!(cfg.tenants.len(), tenants().len());
     }
 
     #[test]

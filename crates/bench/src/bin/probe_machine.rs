@@ -1,26 +1,23 @@
-//! Machine-loop perf probe: runs one large many-threaded cell twice —
-//! serial event loop (`shards = 1`) and sharded (`PACT_SHARDS`,
-//! default 8) — checks the two reports are bit-identical, and records
-//! wall time and simulated-cycles-per-second in `BENCH_machine.json`.
+//! Machine-loop perf probe: runs one large many-threaded cell twice,
+//! checks the two reports are byte-identical, and records wall time
+//! and simulated-cycles-per-second in `BENCH_machine.json`.
 //!
 //! The cell is scheduler-bound by construction: thousands of
-//! independent threads make the serial next-thread pick (an O(T) scan
-//! per access) the dominant cost, which is exactly the regime the
-//! sharded loop's per-shard ready-heaps (O(P + log(T/P)) per pick) are
-//! built for. The sharded run must produce byte-identical output —
-//! sharding is a scheduling choice, never a semantic one.
+//! independent random-load threads make the next-thread pick the
+//! dominant cost, which is the regime the event loop's ready-heap
+//! (O(log T) per pick, skipped entirely while the stepped thread stays
+//! the earliest) is built for.
 //!
 //! ```text
 //! cargo run --release -p pact-bench --bin probe_machine
-//! PACT_SHARDS=16 cargo run --release -p pact-bench --bin probe_machine
 //! cargo run --release -p pact-bench --bin probe_machine -- --check-against BENCH_machine.json
 //! ```
 //!
 //! With `--check-against PATH` the probe becomes the CI
-//! perf-regression gate (`machine-perf` stage): it compares the fresh
-//! sharded `sim_cycles_per_sec` against the committed baseline at
-//! `PATH` and exits 1 if the runs stopped being bit-identical or the
-//! sharded rate regressed by more than 20%.
+//! perf-regression gate (`machine-perf` stage): it compares the faster
+//! run's `sim_cycles_per_sec` against the committed baseline at `PATH`
+//! and exits 1 if the two runs stopped being byte-identical or the
+//! rate regressed by more than 20%.
 
 use std::time::Instant;
 
@@ -85,17 +82,15 @@ impl Workload for Fleet {
     }
 }
 
-fn cell_cfg(shards: usize) -> MachineConfig {
+fn cell_cfg() -> MachineConfig {
     // Half the footprint fits the fast tier, so the policy has real
     // placement decisions and the daemon real migration traffic.
-    let mut cfg = MachineConfig::skylake_cxl(Fleet.footprint_bytes() / PAGE_BYTES / 2);
-    cfg.shards = shards;
-    cfg
+    MachineConfig::skylake_cxl(Fleet.footprint_bytes() / PAGE_BYTES / 2)
 }
 
-fn run_cell(shards: usize) -> (RunReport, f64) {
+fn run_cell() -> (RunReport, f64) {
     // Invariant: the probe's config is fixed and validated by tests.
-    let machine = Machine::new(cell_cfg(shards)).expect("probe config is valid");
+    let machine = Machine::new(cell_cfg()).expect("probe config is valid");
     // Invariant: POLICY is a literal member of ALL_POLICIES.
     let mut policy = make_policy(POLICY).expect("probe policy is known");
     let t = Instant::now();
@@ -103,18 +98,14 @@ fn run_cell(shards: usize) -> (RunReport, f64) {
     (report, t.elapsed().as_secs_f64())
 }
 
-fn check_against(
-    baseline_json: &str,
-    fresh_identical: bool,
-    fresh_sharded_cps: f64,
-) -> Vec<String> {
+fn check_against(baseline_json: &str, fresh_identical: bool, fresh_best_cps: f64) -> Vec<String> {
     gate::check_against(
         baseline_json,
-        "\"sharded\":",
-        "sharded",
-        "sharded run is no longer bit-identical to serial",
+        gate::BEST_ANCHOR,
+        "best",
+        "repeated run is no longer byte-identical to the first",
         fresh_identical,
-        fresh_sharded_cps,
+        fresh_best_cps,
     )
 }
 
@@ -122,41 +113,35 @@ fn main() {
     let check_path = gate::check_path_from_args("probe_machine");
     pact_bench::validate_fault_env();
     pact_bench::arm_hostprof_from_env();
-    let shards = pact_bench::env::shards_override()
-        .ok()
-        .flatten()
-        .unwrap_or(8);
     eprintln!(
         "[probe_machine] fleet-random: {THREADS} threads x {ACCESSES_PER_THREAD} accesses \
-         under '{POLICY}', serial vs {shards} shards"
+         under '{POLICY}', two runs"
     );
 
-    let (serial_report, serial_secs) = run_cell(1);
-    let (sharded_report, sharded_secs) = run_cell(shards);
+    let (first, first_secs) = run_cell();
+    let (repeat, repeat_secs) = run_cell();
 
-    let identical = serial_report.to_json() == sharded_report.to_json()
-        && serial_report.page_stalls == sharded_report.page_stalls;
-    let cycles = serial_report.total_cycles;
-    let speedup = serial_secs / sharded_secs;
+    let identical = first.to_json() == repeat.to_json() && first.page_stalls == repeat.page_stalls;
+    let cycles = first.total_cycles;
     eprintln!(
-        "[probe_machine] serial {serial_secs:.2}s, {shards} shards {sharded_secs:.2}s \
-         (speedup {speedup:.2}x), identical: {identical}"
+        "[probe_machine] first {first_secs:.2}s, repeat {repeat_secs:.2}s, \
+         identical: {identical}"
     );
-    // Both cells have run; emit the PACT_PROF self-profile (stderr)
+    // Both runs are done; emit the PACT_PROF self-profile (stderr)
     // before any gate path can exit.
     pact_bench::emit_hostprof_summary();
 
-    let sharded_cps = cycles as f64 / sharded_secs;
+    let best_cps = cycles as f64 / first_secs.min(repeat_secs);
     if let Some(path) = &check_path {
         let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(2);
         });
-        let errors = check_against(&baseline, identical, sharded_cps);
+        let errors = check_against(&baseline, identical, best_cps);
         if errors.is_empty() {
             println!(
                 "[probe_machine] perf gate vs {path} OK: bit_identical, \
-                 sharded {sharded_cps:.0} cycles/s within tolerance"
+                 best {best_cps:.0} cycles/s within tolerance"
             );
             return;
         }
@@ -166,13 +151,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let timing = |j: &mut JsonWriter, nshards: u64, secs: f64| {
-        j.begin_object();
-        j.field_u64("shards", nshards);
-        j.field_f64("wall_seconds", secs);
-        j.field_f64("sim_cycles_per_sec", cycles as f64 / secs);
-        j.end_object();
-    };
     let mut j = JsonWriter::new();
     j.begin_object();
     j.field_str("workload", "fleet-random");
@@ -180,11 +158,7 @@ fn main() {
     j.field_u64("threads", THREADS as u64);
     j.field_u64("accesses", THREADS as u64 * ACCESSES_PER_THREAD);
     j.field_u64("sim_cycles", cycles);
-    j.key("serial");
-    timing(&mut j, 1, serial_secs);
-    j.key("sharded");
-    timing(&mut j, shards as u64, sharded_secs);
-    j.field_f64("speedup", speedup);
+    gate::write_repeat_timings(&mut j, cycles, [first_secs, repeat_secs]);
     j.field_bool("bit_identical", identical);
     j.end_object();
     let mut json = j.finish();
@@ -194,34 +168,32 @@ fn main() {
         Err(e) => eprintln!("warning: could not write BENCH_machine.json: {e}"),
     }
     print!("{json}");
-    assert!(identical, "sharded run diverged from serial");
+    assert!(identical, "repeated run diverged from the first");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"workload":"fleet-random","serial":{"shards":1,"wall_seconds":8.0,"sim_cycles_per_sec":1000000.0},"sharded":{"shards":8,"wall_seconds":1.6,"sim_cycles_per_sec":5000000.0},"speedup":5.0,"bit_identical":true}"#;
+    const BASELINE: &str = r#"{"workload":"fleet-random","first":{"wall_seconds":2.0,"sim_cycles_per_sec":4000000.0},"repeat":{"wall_seconds":1.6,"sim_cycles_per_sec":5000000.0},"best":{"wall_seconds":1.6,"sim_cycles_per_sec":5000000.0},"bit_identical":true}"#;
 
     #[test]
-    fn gate_reads_the_sharded_block() {
+    fn gate_reads_the_best_block() {
         assert!(check_against(BASELINE, true, 4_500_000.0).is_empty());
         let errs = check_against(BASELINE, true, 3_000_000.0);
         assert_eq!(errs.len(), 1);
         assert!(
-            errs[0].contains("sharded sim_cycles_per_sec regressed"),
+            errs[0].contains("best sim_cycles_per_sec regressed"),
             "{}",
             errs[0]
         );
         let errs = check_against(BASELINE, false, 4_500_000.0);
-        assert!(errs.iter().any(|e| e.contains("bit-identical")));
+        assert!(errs.iter().any(|e| e.contains("byte-identical")));
     }
 
     #[test]
-    fn probe_configs_validate() {
-        for shards in [1, 8, 16] {
-            cell_cfg(shards).validate().expect("probe config is valid");
-        }
+    fn probe_config_validates() {
+        cell_cfg().validate().expect("probe config is valid");
     }
 
     #[test]

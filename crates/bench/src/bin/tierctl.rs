@@ -28,7 +28,7 @@
 //! completion. A resumed run's report is byte-identical to the
 //! uninterrupted run — the `digest:` line pins it, and the CI
 //! `snapshot` stage and `pact-check`'s kill-resume oracle compare it
-//! across `PACT_SHARDS` values:
+//! against the uninterrupted run:
 //!
 //! ```text
 //! tierctl snapshot --workload gups --every 8 --out snaps
@@ -40,7 +40,7 @@
 //! machine's tiers under migration admission control, and the summary
 //! prints one accounting row per tenant plus a greppable
 //! `admission:` line and a deterministic digest (byte-identical
-//! across `PACT_SHARDS`/`PACT_JOBS`; the CI `fleet` stage pins it):
+//! across repeated runs and `PACT_JOBS`; the CI `fleet` stage pins it):
 //!
 //! ```text
 //! tierctl fleet --tenants app:gups:4,hog:mlc-hog:1,zd:zipf-drift:2
@@ -471,8 +471,8 @@ fn run_cell(args: &Args, track_stalls: bool) -> (pact_bench::Outcome, String) {
 
 /// The `report` subcommand: one run with the criticality oracle armed,
 /// folded flamegraph + markdown + JSON written to `--out`. Artifacts
-/// are sim-domain and byte-identical across `PACT_JOBS`/`PACT_SHARDS`;
-/// the CI `obs-report` stage pins this with `cmp`.
+/// are sim-domain and byte-identical across repeated runs and
+/// `PACT_JOBS`; the CI `obs-report` stage pins this with `cmp`.
 fn run_report(args: &Args) {
     let (out, label) = run_cell(args, true);
     let topk = args
@@ -579,7 +579,7 @@ fn print_run_summary(label: &str, report: &RunReport) {
 }
 
 /// Machine configuration for a snapshot/resume cell. Applies the
-/// already-validated `PACT_FAULTS` / `PACT_SHARDS` hooks the same way
+/// already-validated `PACT_FAULTS` hook the same way
 /// the `Harness` does, so a snapshot cell matches the equivalent
 /// `tierctl` run cell exactly.
 fn cell_machine_config(
@@ -596,9 +596,6 @@ fn cell_machine_config(
     cfg.snapshot_every = every;
     if cfg.fault_plan.is_none() {
         cfg.fault_plan = pact_bench::env::fault_plan().ok().flatten();
-    }
-    if let Some(n) = pact_bench::env::shards_override().ok().flatten() {
-        cfg.shards = n;
     }
     cfg
 }
@@ -722,9 +719,8 @@ fn run_resume(args: &Args) {
 /// The `fleet` subcommand: a multi-tenant cell under migration
 /// admission control (DESIGN.md §15). Prints one accounting row per
 /// tenant, a greppable `admission:` line, and the same deterministic
-/// digest `snapshot`/`resume` print — byte-identical across
-/// `PACT_SHARDS`/`PACT_JOBS`, which the CI `fleet` stage pins with
-/// `cmp`.
+/// digest `snapshot`/`resume` print — byte-identical across repeated
+/// runs and `PACT_JOBS`, which the CI `fleet` stage pins with `cmp`.
 fn run_fleet(args: &Args) {
     let tenants = match &args.tenants {
         Some(spec) => pact_bench::env::parse_tenants(spec).unwrap_or_else(|e| {
@@ -764,9 +760,6 @@ fn run_fleet(args: &Args) {
     });
     if cfg.fault_plan.is_none() {
         cfg.fault_plan = pact_bench::env::fault_plan().ok().flatten();
-    }
-    if let Some(n) = pact_bench::env::shards_override().ok().flatten() {
-        cfg.shards = n;
     }
     let machine = Machine::new(cfg).unwrap_or_else(|e| {
         eprintln!("error: {e}");

@@ -83,21 +83,6 @@ fn env_fault_plan() -> Option<&'static FaultPlan> {
     .as_ref()
 }
 
-/// The process-wide `PACT_SHARDS` override, resolved once so every
-/// sweep cell — including those on worker threads — sees one value.
-/// An invalid value warns once and is ignored here — binaries reject
-/// it eagerly at startup (see [`crate::validate_fault_env`]).
-fn env_shards() -> Option<usize> {
-    static SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-    *SHARDS.get_or_init(|| match crate::env::shards_override() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("warning: ignoring {e}");
-            None
-        }
-    })
-}
-
 /// Outcome of one policy run, normalized against the DRAM baseline.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -250,15 +235,6 @@ impl Harness {
         // once — workers must all see the same plan).
         if cfg.fault_plan.is_none() {
             cfg.fault_plan = env_fault_plan().cloned();
-        }
-        // Likewise PACT_SHARDS: an explicit shard count on the config
-        // wins; the environment only lifts the serial default. Safe to
-        // apply everywhere because sharding never changes output bytes
-        // (tests/shard_determinism.rs), only wall-clock speed.
-        if cfg.shards <= 1 {
-            if let Some(n) = env_shards() {
-                cfg.shards = n;
-            }
         }
         // Invariant: base_cfg was validated by try_with_machine (or is a
         // preset), and fast_tier_pages/fault_plan stay within validated

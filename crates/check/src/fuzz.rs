@@ -10,9 +10,7 @@
 //!   `tierctl check --case 0x<seed>`, no matter which sweep found it.
 //!
 //! Each case runs its cell **twice** and byte-compares the serialized
-//! reports (catching nondeterminism the invariants cannot see), then a
-//! **third** time at a permuted event-loop shard count (sharding must
-//! never change a single output byte — DESIGN.md §12), and
+//! reports (catching nondeterminism the invariants cannot see), and
 //! PACT cells additionally pass through
 //! [`PactPolicy::audit`](pact_core::PactPolicy::audit).
 
@@ -112,7 +110,6 @@ fn gen_config(rng: &mut SplitMix64) -> MachineConfig {
     cfg.thp_unit_pages = pick(rng, &[2, 4, 8, 16]);
     cfg.migration.daemon_pages_per_window = pick(rng, &[0, 8, 256, 4_096]);
     cfg.chmu_counters = pick(rng, &[0, 0, 0, 64]);
-    cfg.shards = pick(rng, &[1, 1, 1, 2, 4, 8]);
     cfg.track_page_stalls = rng.next_u64().is_multiple_of(8);
     cfg.seed = rng.next_u64();
     if rng.next_u64() & 1 == 0 {
@@ -236,19 +233,6 @@ pub fn run_case(case_seed: u64) -> Result<CaseSummary, String> {
     let wl = gen_workload(&mut rng);
     let mut policy = gen_policy(&mut rng);
     let faulted = cfg.fault_plan.is_some();
-    // Shard-permutation oracle: the same cell at a different event-loop
-    // shard count must produce a byte-identical report — sharding is a
-    // scheduling choice, never a semantic one (DESIGN.md §12).
-    let shards = cfg.shards;
-    let mut alt_cfg = cfg.clone();
-    alt_cfg.shards = match shards {
-        1 => 7,
-        _ => 1,
-    };
-    let alt_shards = alt_cfg.shards;
-    // Invariant: cfg.validate() just passed; alt_cfg differs only in
-    // `shards`, which is valid for any value in 1..=256.
-    let alt_machine = Machine::new(alt_cfg).expect("validated config");
     // Invariant: cfg.validate() just passed.
     let machine = Machine::new(cfg).expect("validated config");
     let mut run = || -> Result<RunReport, String> {
@@ -266,14 +250,6 @@ pub fn run_case(case_seed: u64) -> Result<CaseSummary, String> {
             .position(|(a, b)| a != b)
             .unwrap_or(j1.len().min(j2.len()));
         return Err(format!("nondeterministic report (diverges at byte {pos})"));
-    }
-    let r3 = alt_machine
-        .try_run(&wl, policy.as_dyn())
-        .map_err(|e| format!("shard-variant run failed: {e}"))?;
-    if j1 != r3.to_json() || r1.page_stalls != r3.page_stalls {
-        return Err(format!(
-            "shard-variant report diverges ({shards} vs {alt_shards} shards)"
-        ));
     }
     if let FuzzPolicy::Pact(p) = &policy {
         p.audit().map_err(|e| format!("pact audit failed: {e}"))?;
@@ -326,14 +302,6 @@ mod tests {
         let b = run_fuzz(&opts);
         assert_eq!(a, b);
         assert_eq!(a.lines.len(), 20);
-    }
-
-    #[test]
-    fn generated_configs_cover_serial_and_sharded_loops() {
-        let mut rng = SplitMix64::seed_from_u64(42);
-        let shards: Vec<usize> = (0..32).map(|_| gen_config(&mut rng).shards).collect();
-        assert!(shards.contains(&1));
-        assert!(shards.iter().any(|&s| s > 1));
     }
 
     #[test]

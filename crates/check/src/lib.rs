@@ -17,7 +17,7 @@
 //!    on/off — byte-compared; plus cross-configuration dominance
 //!    (an all-local run must never lose to an all-remote run) and
 //!    kill-resume crash recovery (a run killed at a snapshot boundary
-//!    and resumed must finish byte-identically across shard counts).
+//!    and resumed must finish byte-identically).
 //! 3. **A deterministic config fuzzer** ([`fuzz`]): SplitMix64-driven
 //!    generation of valid-but-adversarial machine configurations,
 //!    fault plans, and synthetic workloads, each run with the full

@@ -13,8 +13,7 @@
 //! the rank `ceil(q · n)` (clamped to `[1, n]`) and returns that
 //! bucket's upper bound, clamped to the largest value actually
 //! recorded. Two histograms fed the same values in any order report
-//! identical quantiles — the property the shard-determinism oracle
-//! relies on.
+//! identical quantiles.
 
 /// Values below this threshold get one exact bucket each.
 const LINEAR_MAX: u64 = 16;

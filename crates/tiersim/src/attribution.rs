@@ -21,7 +21,7 @@
 //! BTreeMaps keyed by [`PageId`], floats render with Rust's
 //! shortest-roundtrip formatting, and no wall-clock or host state is
 //! consulted. The `pact-check` differential oracle pins the folded and
-//! JSON bytes across shard counts.
+//! JSON bytes across job counts and with the host profiler armed.
 
 use std::collections::BTreeMap;
 
@@ -76,7 +76,7 @@ impl<'a> CriticalityReport<'a> {
     /// Collapsed-stack flamegraph text, one line per `(tier, page)`
     /// pair with nonzero blame: `tier;huge#H;page#P cycles`. Lines are
     /// ordered page-ascending with the fast lane first — a fixed order,
-    /// so the bytes are identical for every shard/job count.
+    /// so the bytes are identical for every job count.
     pub fn folded(&self) -> String {
         let mut f = FoldedStacks::new();
         let mut huge = String::new();

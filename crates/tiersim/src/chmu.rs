@@ -249,18 +249,6 @@ impl Chmu {
         self.table.observe(page);
     }
 
-    /// Replays a batch of observations in the given order. The
-    /// Space-Saving table is order-dependent (an eviction inherits the
-    /// victim's count), so callers that buffer observations — the
-    /// sharded event loop — must pass the batch in exact global access
-    /// order (see `pact_obs::shard::merge_runs`); the result is then
-    /// byte-identical to per-access [`observe`](Self::observe) calls.
-    pub fn observe_batch<'a>(&mut self, pages: impl IntoIterator<Item = &'a PageId>) {
-        for &page in pages {
-            self.table.observe(page);
-        }
-    }
-
     /// Host read: the hot list `(page, count)` accumulated since the
     /// last [`reset`](Self::reset), hottest first, truncated to `n`.
     pub fn read_hot(&self, n: usize) -> Vec<(PageId, u64)> {

@@ -216,15 +216,6 @@ pub struct MachineConfig {
     /// tier's controller (0 = no CHMU; the paper's testbed has none —
     /// it is the §4.3.5 future-work sampling source).
     pub chmu_counters: usize,
-    /// Number of deterministic event-loop shards (`1` = the classic
-    /// serial scheduler). Shard counts ≥ 2 switch the machine to the
-    /// sharded engine: threads are partitioned across per-shard ready
-    /// queues and page-keyed events (CHMU observations, stall
-    /// attribution) are buffered per page-shard and merged in fixed
-    /// shard order, so every shard count produces byte-identical
-    /// output (DESIGN.md §12). Binaries resolve `PACT_SHARDS` into
-    /// this field at the edge.
-    pub shards: usize,
     /// Record ground-truth stall cycles per page (simulator-only
     /// oracle; unobservable on real hardware). Used to validate PAC's
     /// proportional attribution (§4.3.2); costs memory and time, so it
@@ -303,7 +294,6 @@ impl MachineConfig {
                 shootdown_cycles_per_page: 30,
             },
             chmu_counters: 0,
-            shards: 1,
             track_page_stalls: false,
             seed: 0x9ac7_1357,
             snapshot_every: 0,
@@ -365,11 +355,6 @@ impl MachineConfig {
             return Err(ConfigError(
                 "thp_unit_pages must be a power of two no larger than 512",
             ));
-        }
-        // The upper bound is pact_obs::shard::MAX_SHARDS: the merge
-        // helpers keep their cursors on the stack at that size.
-        if self.shards == 0 || self.shards > pact_obs::shard::MAX_SHARDS {
-            return Err(ConfigError("shards must be in 1..=256"));
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate().map_err(ConfigError)?;
@@ -464,13 +449,6 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.pebs.rate = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = MachineConfig::default();
-        cfg.shards = 0;
-        assert!(cfg.validate().is_err());
-        cfg.shards = 257;
-        assert!(cfg.validate().is_err());
-        cfg.shards = 8;
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! frequently it was touched (the PACT thesis, Fig. 2). Stores never
 //! accrue stall blame (they retire through the write buffer), and
 //! overlapped miss latency is charged only once, to the miss the core
-//! waited for. The map is additive across windows and byte-identical
-//! for every `shards` setting: the sharded loop buffers attributions
-//! per page-shard and drains them in fixed shard order at window edges.
+//! waited for. Inside the run the oracle is a dense `[fast, slow]`
+//! vector indexed by page id, so a blamed miss costs one indexed add;
+//! the report's ordered map is built once at the end from the nonzero
+//! entries, which is exact because a blamed stall is always > 0.
 //! The criticality report (`tierctl report`, DESIGN.md §13) folds this
 //! oracle into flamegraphs and top-K tables.
 
@@ -41,7 +42,7 @@ use crate::policy::{
 };
 use crate::snapshot::{self, MachineSnapshot};
 use crate::tier::Channel;
-use crate::types::{page_shard, AccessKind, PageId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
+use crate::types::{AccessKind, PageId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 use crate::workload::{AccessStream, Workload};
 
 /// Per-window record of migration activity, counter deltas, and policy
@@ -399,8 +400,8 @@ impl Machine {
     /// returned report (and every trace/metrics byte) is identical to
     /// the uninterrupted run's. The workloads must be the ones the
     /// snapshot was captured under; the machine configuration must
-    /// match the snapshot's fingerprint, except `shards` and
-    /// `snapshot_every`, which may differ freely.
+    /// match the snapshot's fingerprint, except `snapshot_every`, which
+    /// may differ freely.
     ///
     /// # Errors
     ///
@@ -501,26 +502,11 @@ struct Sim<'a, 'w> {
     /// starts (workers of a process with an init phase).
     gated_by: Vec<Option<u32>>,
     clock_offset: u64,
-    // Sharded event loop (cfg.shards >= 2): one ready-heap of
-    // `Reverse((relative_clock, thread))` per shard; the pick scans the
-    // P shard minima instead of all T threads. Empty on the serial path.
+    /// Ready-heap of runnable threads keyed `Reverse((relative_clock,
+    /// thread))`, minus the thread being stepped. Gated workers join
+    /// when their prologue releases them.
     // snapshot: skip — rebuilt from the restored thread clocks after decode
-    shard_heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
-    /// Per-page-shard buffered CHMU observations `(seq, page)`, merged
-    /// back into exact global order at every policy read point. Empty
-    /// unless sharded *and* a CHMU is configured.
-    // snapshot: skip — debug-asserted empty at window-edge capture
-    chmu_pending: Vec<Vec<(u64, PageId)>>,
-    // snapshot: skip — scratch merge buffer, cleared after every drain
-    chmu_merge: Vec<(u64, PageId)>,
-    // snapshot: skip — only intra-batch order matters; restarts at zero with empty buffers
-    chmu_seq: u64,
-    /// Per-page-shard buffered stall attributions
-    /// `(page, blamed_tier_index, cycles)`, drained additively in fixed
-    /// shard order at window edges. Empty unless sharded *and*
-    /// `track_page_stalls` is on.
-    // snapshot: skip — debug-asserted empty at window-edge capture
-    stall_pending: Vec<Vec<(PageId, u8, u64)>>,
+    ready: BinaryHeap<Reverse<(u64, u32)>>,
     /// Reusable due-retry buffer for the window loop.
     // snapshot: skip — scratch, cleared before every use
     retry_buf: Vec<RetryEntry>,
@@ -560,7 +546,10 @@ struct Sim<'a, 'w> {
     hint_scan_per_window: u64,
     // snapshot: skip — recomputed from the restored thread liveness after decode
     foreground_threads: usize,
-    page_stalls: Option<std::collections::BTreeMap<PageId, [u64; 2]>>,
+    /// Stall oracle `[fast, slow]` indexed by page id, sized to the
+    /// whole address space when `track_page_stalls` is armed and empty
+    /// otherwise (so the armed check is the bounds check).
+    page_stalls: Vec<[u64; 2]>,
     // Observability: structured event sink, metrics registry, and the
     // dense metric handles the substrate updates each window.
     tracer: &'a mut Tracer,
@@ -829,45 +818,19 @@ impl<'a, 'w> Sim<'a, 'w> {
         } else {
             (proc_base, proc_pages)
         };
-        let nshards = cfg.shards.max(1);
-        let shard_heaps = if nshards >= 2 {
-            // Thread ti lives on ready-heap ti % P; gated workers join
-            // their heap when the prologue releases them.
-            let mut heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>> = (0..nshards)
-                .map(|_| BinaryHeap::with_capacity(threads.len() / nshards + 1))
-                .collect();
-            for (ti, gate) in gated.iter().enumerate() {
-                if gate.is_none() {
-                    // pact-lint: allow(counter-truncation) — thread
-                    // indices are far below u32::MAX.
-                    heaps[ti % nshards].push(Reverse((0, ti as u32)));
-                }
-            }
-            heaps
-        } else {
-            Vec::new()
-        };
-        let chmu_pending = if nshards >= 2 && cfg.chmu_counters > 0 {
-            vec![Vec::new(); nshards]
-        } else {
-            Vec::new()
-        };
-        let stall_pending = if nshards >= 2 && cfg.track_page_stalls {
-            vec![Vec::new(); nshards]
-        } else {
-            Vec::new()
-        };
+        // pact-lint: allow(counter-truncation) — thread indices are far
+        // below u32::MAX.
+        let ready = (0..threads.len() as u32)
+            .filter(|&ti| gated[ti as usize].is_none())
+            .map(|ti| Reverse((0, ti)))
+            .collect();
         Ok(Sim {
             policy,
             clock: vec![0; threads.len()],
             done: vec![false; threads.len()],
             gated_by: gated,
             clock_offset: 0,
-            shard_heaps,
-            chmu_pending,
-            chmu_merge: Vec::new(),
-            chmu_seq: 0,
-            stall_pending,
+            ready,
             retry_buf: Vec::new(),
             threads,
             procs,
@@ -904,7 +867,11 @@ impl<'a, 'w> Sim<'a, 'w> {
             window_dropped: 0,
             hint_scan_per_window: 0,
             foreground_threads,
-            page_stalls: cfg.track_page_stalls.then(std::collections::BTreeMap::new),
+            page_stalls: if cfg.track_page_stalls {
+                vec![[0; 2]; next_base_page as usize]
+            } else {
+                Vec::new()
+            },
             tracer,
             registry,
             m_daemon_pages,
@@ -958,77 +925,48 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
     }
 
-    /// Re-inserts a live thread into its shard's ready-heap (no-op on
-    /// the serial path). Heap keys are relative clocks, which never
-    /// change while a thread sits in a heap: shootdowns move the shared
-    /// offset, and only the popped thread's own clock advances.
+    /// Inserts a live thread into the ready-heap. Heap keys are
+    /// relative clocks, which never change while a thread sits in the
+    /// heap: shootdowns move the shared offset, and only the thread
+    /// being stepped advances its own clock.
     #[inline]
     fn ready_push(&mut self, ti: usize) {
-        let n = self.shard_heaps.len();
-        if n > 0 {
-            // pact-lint: allow(counter-truncation) — thread indices are
-            // far below u32::MAX.
-            self.shard_heaps[ti % n].push(Reverse((self.clock[ti], ti as u32)));
-        }
+        // pact-lint: allow(counter-truncation) — thread indices are far
+        // below u32::MAX.
+        self.ready.push(Reverse((self.clock[ti], ti as u32)));
     }
 
-    /// Serial event loop (`shards <= 1`): pick the runnable thread with
-    /// the smallest clock by scanning the dense SoA vectors.
-    fn run_serial(&mut self) -> Result<(), SimError> {
+    /// The event loop: steps runnable threads in global time order,
+    /// ties going to the lowest thread index. The running thread stays
+    /// out of the heap and runs ahead while `(clock, thread)` is below
+    /// the heap minimum; once another thread is earlier, the two swap
+    /// places in one sift-down of the heap top. Live threads share one
+    /// offset, so comparing relative clocks is comparing absolute times.
+    fn run_loop(&mut self) -> Result<(), SimError> {
+        let Some(Reverse((_, first))) = self.ready.pop() else {
+            return Ok(());
+        };
+        let mut ti = first as usize;
         while self.foreground_threads > 0 {
-            // Pick the runnable thread with the smallest clock (global
-            // time order); workers gated behind a prologue wait for it.
-            let mut best: Option<usize> = None;
-            for ti in 0..self.threads.len() {
-                if self.done[ti] {
-                    continue;
-                }
-                if let Some(g) = self.gated_by[ti] {
-                    if !self.done[g as usize] {
-                        continue;
-                    }
-                }
-                // Live threads share one offset, so comparing relative
-                // clocks is comparing absolute times.
-                if best.is_none_or(|b| self.clock[ti] < self.clock[b]) {
-                    best = Some(ti);
-                }
-            }
-            let Some(ti) = best else { break };
             // Fire any window boundaries the whole machine has passed.
             while self.clock[ti] + self.clock_offset >= self.next_edge {
                 self.fire_window(true)?;
             }
             self.step_thread(ti)?;
-        }
-        Ok(())
-    }
-
-    /// Sharded event loop (`shards >= 2`): each shard keeps a min-heap
-    /// of its runnable threads; the pick scans the P shard minima and
-    /// takes the lexicographic minimum of `(relative_clock, thread)`,
-    /// which is exactly the serial tie-break (lowest index among the
-    /// earliest threads) — so every step, and therefore every output
-    /// byte, matches the serial path for any shard count.
-    fn run_sharded(&mut self) -> Result<(), SimError> {
-        while self.foreground_threads > 0 {
-            let mut best: Option<(u64, u32, usize)> = None;
-            for (si, heap) in self.shard_heaps.iter().enumerate() {
-                if let Some(&Reverse((rel, ti))) = heap.peek() {
-                    if best.is_none_or(|(brel, bti, _)| (rel, ti) < (brel, bti)) {
-                        best = Some((rel, ti, si));
-                    }
+            if self.done[ti] {
+                let Some(Reverse((_, next))) = self.ready.pop() else {
+                    break;
+                };
+                ti = next as usize;
+                continue;
+            }
+            // pact-lint: allow(counter-truncation) — thread indices are
+            // far below u32::MAX.
+            let key = (self.clock[ti], ti as u32);
+            if let Some(mut top) = self.ready.peek_mut() {
+                if top.0 < key {
+                    ti = std::mem::replace(&mut *top, Reverse(key)).0 .1 as usize;
                 }
-            }
-            let Some((_, ti, si)) = best else { break };
-            let ti = ti as usize;
-            while self.clock[ti] + self.clock_offset >= self.next_edge {
-                self.fire_window(true)?;
-            }
-            self.shard_heaps[si].pop();
-            self.step_thread(ti)?;
-            if !self.done[ti] {
-                self.ready_push(ti);
             }
         }
         Ok(())
@@ -1036,11 +974,7 @@ impl<'a, 'w> Sim<'a, 'w> {
 
     fn run(mut self) -> Result<RunReport, SimError> {
         let _prof = pact_obs::hostprof::span("run");
-        if self.shard_heaps.is_empty() {
-            self.run_serial()?;
-        } else {
-            self.run_sharded()?;
-        }
+        self.run_loop()?;
         // Stop any background co-runners at the current clock.
         for ti in 0..self.threads.len() {
             if !self.done[ti] {
@@ -1085,8 +1019,8 @@ impl<'a, 'w> Sim<'a, 'w> {
                 let lo = self.tenant_base[i];
                 let hi = lo + self.tenant_pages[i];
                 let mut stall_cycles = [0u64; 2];
-                if let Some(map) = &self.page_stalls {
-                    for (_, [fast, slow]) in map.range(PageId(lo)..PageId(hi)) {
+                if let Some(lane) = self.page_stalls.get(lo as usize..hi as usize) {
+                    for [fast, slow] in lane {
                         stall_cycles[0] += fast;
                         stall_cycles[1] += slow;
                     }
@@ -1126,7 +1060,16 @@ impl<'a, 'w> Sim<'a, 'w> {
             failed_promotions: self.failed_promotions,
             dropped_orders: self.dropped_orders,
             windows: self.windows,
-            page_stalls: self.page_stalls,
+            // A blamed stall is always > 0, so the nonzero pages are
+            // exactly the pages that were ever blamed.
+            page_stalls: self.cfg.track_page_stalls.then(|| {
+                self.page_stalls
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| **s != [0; 2])
+                    .map(|(p, s)| (PageId(p as u64), *s))
+                    .collect()
+            }),
             tenants,
         })
     }
@@ -1269,15 +1212,7 @@ impl<'a, 'w> Sim<'a, 'w> {
                     tc.llc_misses[tidx] += 1;
                 }
                 if tier == Tier::Slow {
-                    if !self.chmu_pending.is_empty() {
-                        // Sharded engine: buffer the observation under
-                        // its page-shard with a global sequence number;
-                        // replayed in exact access order at the next
-                        // policy read point (see `flush_page_events`).
-                        let s = page_shard(page, self.mem.unit_span(), self.chmu_pending.len());
-                        self.chmu_pending[s].push((self.chmu_seq, page));
-                        self.chmu_seq += 1;
-                    } else if let Some(chmu) = &mut self.chmu {
+                    if let Some(chmu) = &mut self.chmu {
                         chmu.observe(page); // device-side, free for the CPU
                     }
                 }
@@ -1441,54 +1376,17 @@ impl<'a, 'w> Sim<'a, 'w> {
     }
 
     /// Attributes `stall` cycles to `page`'s misses, split by the tier
-    /// index `tidx` the blamed miss was served from. On the sharded
-    /// path the hot loop only appends to a reused per-shard buffer; the
-    /// BTreeMap (whose inserts allocate nodes) is updated at window
-    /// edges. Attribution is additive, so any fixed merge order works.
+    /// index `tidx` the blamed miss was served from. No-op unless
+    /// `track_page_stalls` sized the oracle.
     #[inline]
     fn note_page_stall(&mut self, page: PageId, tidx: u8, stall: u64) {
-        if !self.stall_pending.is_empty() {
-            let s = page_shard(page, self.mem.unit_span(), self.stall_pending.len());
-            self.stall_pending[s].push((page, tidx, stall));
-        } else if let Some(map) = self.page_stalls.as_mut() {
-            map.entry(page).or_insert([0; 2])[tidx as usize] += stall;
-        }
-    }
-
-    /// Applies all buffered per-shard page events. Called before every
-    /// policy read point (sample delivery, window boundary), so merged
-    /// state is always up to date when it can be observed: CHMU
-    /// observations replay in exact global access order via the
-    /// sequence-number merge; stall attributions drain additively in
-    /// fixed shard order. No-op on the serial path (empty buffers).
-    fn flush_page_events(&mut self) {
-        if !self.chmu_pending.is_empty() {
-            {
-                let _prof = pact_obs::hostprof::span("shard_merge");
-                pact_obs::shard::merge_runs(&mut self.chmu_pending, &mut self.chmu_merge);
-            }
-            if let Some(chmu) = self.chmu.as_mut() {
-                let _prof = pact_obs::hostprof::span("chmu_replay");
-                chmu.observe_batch(self.chmu_merge.iter().map(|(_, p)| p));
-            }
-            self.chmu_merge.clear();
-        }
-        if !self.stall_pending.is_empty() {
-            if let Some(map) = self.page_stalls.as_mut() {
-                let _prof = pact_obs::hostprof::span("shard_merge");
-                pact_obs::shard::drain_in_shard_order(
-                    &mut self.stall_pending,
-                    |(page, tidx, stall)| {
-                        map.entry(page).or_insert([0; 2])[tidx as usize] += stall;
-                    },
-                );
-            }
+        if let Some(s) = self.page_stalls.get_mut(page.0 as usize) {
+            s[tidx as usize] += stall;
         }
     }
 
     /// Routes a sample event to the policy and applies resulting orders.
     fn deliver_sample(&mut self, ti: usize, ev: SampleEvent) {
-        self.flush_page_events();
         let mut orders = std::mem::take(&mut self.order_buf);
         let mut telemetry = std::mem::take(&mut self.telemetry_buf);
         let totals = self.ctx_totals();
@@ -1549,9 +1447,7 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// rejected, counted, traced, and deferred with doubling backoff
     /// (dropped outright after [`MAX_DEFERRALS`] rejections or when the
     /// deferral queue is full). Returns whether the order may proceed.
-    /// Always true when admission control is not configured — the
-    /// decision point sits in the globally serialized step order, so it
-    /// is shard-invariant by construction.
+    /// Always true when admission control is not configured.
     fn try_admit(&mut self, order: MigrationOrder, cycle: u64, attempt: u32) -> bool {
         let Some(adm) = self.cfg.admission.as_ref() else {
             return true;
@@ -1820,9 +1716,6 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// [`run`](Self::run) passes `false` (nothing is left to resume).
     fn fire_window(&mut self, allow_snapshot: bool) -> Result<(), SimError> {
         let _prof = pact_obs::hostprof::span("window");
-        // Merge the shards' buffered page events before anything — the
-        // policy, CHMU gauges, and oracle below — can observe them.
-        self.flush_page_events();
         let delta = self.counters.delta_since(&self.last_snapshot);
         let mut orders = std::mem::take(&mut self.order_buf);
         let mut telemetry = std::mem::take(&mut self.telemetry_buf);
@@ -2145,14 +2038,10 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// Seals the complete mutable run state into a versioned frame.
     ///
     /// Only called at a window edge (end of [`fire_window`]
-    /// (Self::fire_window)), where the per-shard event buffers and the
-    /// reusable policy sinks are provably empty — which is what makes
-    /// the frame valid to resume under *any* shard count.
+    /// (Self::fire_window)), where the reusable policy sinks are
+    /// provably empty.
     fn capture_snapshot(&self) -> Result<MachineSnapshot, SimError> {
         let _prof = pact_obs::hostprof::span("snapshot_capture");
-        debug_assert!(self.chmu_pending.iter().all(|v| v.is_empty()));
-        debug_assert!(self.chmu_merge.is_empty());
-        debug_assert!(self.stall_pending.iter().all(|v| v.is_empty()));
         debug_assert!(self.order_buf.is_empty());
         debug_assert!(self.telemetry_buf.is_empty());
         debug_assert!(self.window_telemetry.is_empty());
@@ -2287,11 +2176,18 @@ impl<'a, 'w> Sim<'a, 'w> {
                 w.put_bool(o.sync);
             }
         }
-        // The ground-truth stall oracle (presence follows the config).
-        if let Some(map) = &self.page_stalls {
-            w.put_usize(map.len());
-            for (p, [f, s]) in map {
-                w.put_u64(p.0);
+        // The ground-truth stall oracle (presence follows the config):
+        // the blamed (nonzero) pages in ascending order.
+        if self.cfg.track_page_stalls {
+            let blamed = || {
+                self.page_stalls
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| **s != [0; 2])
+            };
+            w.put_usize(blamed().count());
+            for (p, [f, s]) in blamed() {
+                w.put_u64(p as u64);
                 w.put_u64(*f);
                 w.put_u64(*s);
             }
@@ -2513,14 +2409,19 @@ impl<'a, 'w> Sim<'a, 'w> {
                 ));
             }
         }
-        if let Some(map) = self.page_stalls.as_mut() {
-            map.clear();
+        if self.cfg.track_page_stalls {
+            self.page_stalls.fill([0; 2]);
             let nm = r.get_usize().map_err(e)?;
             for _ in 0..nm {
-                let p = PageId(r.get_u64().map_err(e)?);
+                let p = r.get_u64().map_err(e)?;
                 let fast = r.get_u64().map_err(e)?;
                 let slow = r.get_u64().map_err(e)?;
-                map.insert(p, [fast, slow]);
+                let pages = self.page_stalls.len();
+                let slot = usize::try_from(p)
+                    .ok()
+                    .and_then(|i| self.page_stalls.get_mut(i))
+                    .ok_or_else(|| format!("snapshot blames page {p}, machine has {pages}"))?;
+                *slot = [fast, slow];
             }
         }
         if let Some(f) = self.faults.as_mut() {
@@ -2563,21 +2464,14 @@ impl<'a, 'w> Sim<'a, 'w> {
                 }
             }
         }
-        // Rebuild the per-shard ready-heaps for *this* run's shard
-        // count: live, ungated threads at their restored clocks. (A
-        // still-gated thread implies a live prologue — the release path
-        // clears the gate the moment the prologue finishes.)
-        let ns = self.shard_heaps.len();
-        for h in &mut self.shard_heaps {
-            h.clear();
-        }
-        if ns > 0 {
-            for ti in 0..n {
-                if !self.done[ti] && self.gated_by[ti].is_none() {
-                    // pact-lint: allow(counter-truncation) — thread
-                    // indices are far below u32::MAX.
-                    self.shard_heaps[ti % ns].push(Reverse((self.clock[ti], ti as u32)));
-                }
+        // Rebuild the ready-heap: live, ungated threads at their
+        // restored clocks. (A still-gated thread implies a live
+        // prologue — the release path clears the gate the moment the
+        // prologue finishes.)
+        self.ready.clear();
+        for ti in 0..n {
+            if !self.done[ti] && self.gated_by[ti].is_none() {
+                self.ready_push(ti);
             }
         }
         self.foreground_threads = (0..n)
@@ -2981,10 +2875,9 @@ mod tests {
     }
 
     #[test]
-    fn kill_resume_is_byte_identical_across_shard_counts() {
+    fn kill_resume_is_byte_identical() {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let cfg = snapshotty_cfg();
-        let m = Machine::new(cfg.clone()).unwrap();
+        let m = Machine::new(snapshotty_cfg()).unwrap();
         let mut snaps = Vec::new();
         let mut tracer = Tracer::disabled();
         let reference = m
@@ -2995,22 +2888,17 @@ mod tests {
         assert!(snaps.len() >= 2, "only {} snapshots captured", snaps.len());
         assert!(reference.promotions > 0, "test policy must migrate");
         let ref_dbg = format!("{reference:?}");
-        for shards in [1usize, 4, 7] {
-            let mut rcfg = cfg.clone();
-            rcfg.shards = shards;
-            let rm = Machine::new(rcfg).unwrap();
-            for snap in &snaps {
-                let mut tr = Tracer::disabled();
-                let resumed = rm
-                    .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
-                    .unwrap();
-                assert_eq!(
-                    format!("{resumed:?}"),
-                    ref_dbg,
-                    "divergence resuming window {:?} under {shards} shards",
-                    snap.window()
-                );
-            }
+        for snap in &snaps {
+            let mut tr = Tracer::disabled();
+            let resumed = m
+                .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
+                .unwrap();
+            assert_eq!(
+                format!("{resumed:?}"),
+                ref_dbg,
+                "divergence resuming window {:?}",
+                snap.window()
+            );
         }
     }
 

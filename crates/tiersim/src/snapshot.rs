@@ -4,12 +4,12 @@
 //! the *complete* mutable state of a run at a sampling-window boundary:
 //! page table and LRU lists, PMU/CHMU counters, policy state, the
 //! migration order queue with enqueue timestamps, fault-plan RNG
-//! cursors and retry/backoff state, per-shard relative clocks, the
+//! cursors and retry/backoff state, relative thread clocks, the
 //! metrics registry with its histogram buckets, the trace ring, and the
-//! `[fast, slow]` page-stall oracle. Resuming from a snapshot replays
-//! the rest of the run byte-identically to the uninterrupted execution
-//! — under *any* shard count, because capture happens at window edges
-//! where all shard-local buffers are provably empty.
+//! `[fast, slow]` page-stall oracle (its blamed pages in ascending
+//! order). Resuming from a snapshot replays the rest of the run
+//! byte-identically to the uninterrupted execution; capture happens at
+//! window edges, where no policy callback is in flight.
 //!
 //! # Frame layout (all little-endian)
 //!
@@ -24,9 +24,8 @@
 //! | 36+L   | 8     | FNV-1a checksum of bytes `0..36+L` |
 //!
 //! The configuration fingerprint covers every [`MachineConfig`] field
-//! *except* `shards` and `snapshot_every`: a run may be resumed under a
-//! different shard count (output is shard-invariant) or capture
-//! cadence, but never under a different machine. Corrupt, truncated,
+//! *except* `snapshot_every`: a run may be resumed under a different
+//! capture cadence, but never under a different machine. Corrupt, truncated,
 //! or version-mismatched frames are rejected with a structured
 //! [`SimError::Snapshot`](crate::SimError::Snapshot) — never undefined
 //! behaviour.
@@ -187,10 +186,9 @@ pub(crate) fn open_frame(bytes: &[u8], expect_fingerprint: u64) -> Result<(u64, 
 /// Deterministic fingerprint of every behaviour-relevant
 /// [`MachineConfig`] field.
 ///
-/// `shards` and `snapshot_every` are *excluded*: run output is
-/// byte-identical across shard counts (DESIGN.md §12) and capture
-/// cadence only decides when frames are emitted, so a snapshot taken
-/// under `PACT_SHARDS=1` may be resumed under `PACT_SHARDS=7`.
+/// `snapshot_every` is *excluded*: the capture cadence only decides
+/// when frames are emitted, so a frame may be resumed with capture off
+/// or at another cadence.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
     let mut w = ByteWriter::new();
     w.put_f64(cfg.freq_ghz);
@@ -326,11 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_shards_and_cadence_but_not_the_rest() {
+    fn fingerprint_ignores_cadence_but_not_the_rest() {
         let base = MachineConfig::skylake_cxl(512);
         let h = config_fingerprint(&base);
         let mut same = base.clone();
-        same.shards = 7;
         same.snapshot_every = 3;
         assert_eq!(config_fingerprint(&same), h);
         let mut diff = base.clone();

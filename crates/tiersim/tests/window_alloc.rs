@@ -1,27 +1,39 @@
 //! Per-window allocation guard for the machine event loop, extending
 //! the counting-allocator idiom of `pact-obs`'s `overhead.rs` to the
 //! simulator's window machinery: `window_telemetry`, the migration
-//! `order_buf`, the fault retry buffer, and the sharded-loop page-event
-//! buffers (CHMU observes, page-stall blame) must all reuse their
-//! capacity across windows. Doubling the number of windows over the
-//! same access stream may add exactly **one** allocation per extra
-//! window — the `WindowRecord`'s own exact-size metrics snapshot,
-//! which the report owns — plus the amortized (logarithmic) doubling
-//! of the report's window list. Anything beyond that is a hot-path
-//! regression.
+//! `order_buf`, the fault retry buffer, the CHMU table, and the dense
+//! page-stall store must all reuse their capacity across windows.
+//! Doubling the number of windows over the same access stream may add
+//! exactly **one** allocation per extra window — the `WindowRecord`'s
+//! own exact-size metrics snapshot, which the report owns — plus the
+//! amortized (logarithmic) doubling of the report's window list.
+//! Anything beyond that is a hot-path regression.
+//!
+//! Allocations are counted per thread, so tests running concurrently
+//! under the parallel test runner never count each other's work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pact_tiersim::{Access, FirstTouch, Machine, MachineConfig, TraceWorkload, PAGE_BYTES};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` instead of `with`: never panic inside the allocator,
+    // even while a thread tears down its locals.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +50,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 const PAGES: u64 = 512;
@@ -68,19 +81,16 @@ fn workload() -> TraceWorkload {
 }
 
 /// Runs the same trace with the given window length and returns
-/// (allocations during the run, completed windows). Everything that can
-/// buffer per window is switched on: the sharded loop (CHMU and
-/// page-stall events are page-sharded and merged at window edges), CHMU
-/// counters, and page-stall tracking.
-fn run_with_window(window_cycles: u64) -> (u64, usize) {
+/// (allocations during the run, completed windows). Page-stall
+/// tracking is always on; `chmu` adds the CHMU counter table.
+fn run_with_window(window_cycles: u64, chmu: bool) -> (u64, usize) {
     let mut cfg = MachineConfig::skylake_cxl(64);
     cfg.window_cycles = window_cycles;
-    cfg.shards = 4;
-    cfg.chmu_counters = 64;
+    cfg.chmu_counters = if chmu { 64 } else { 0 };
     cfg.track_page_stalls = true;
     let wl = workload();
     // Invariant: skylake_cxl with these field edits stays valid (the
-    // shard-determinism suite runs near-identical configs).
+    // golden-digest suite runs near-identical configs).
     let machine = Machine::new(cfg).expect("config is valid");
     let mut policy = FirstTouch::new();
     let before = allocations();
@@ -88,50 +98,33 @@ fn run_with_window(window_cycles: u64) -> (u64, usize) {
     (allocations() - before, report.windows.len())
 }
 
-#[test]
-fn window_buffers_reuse_capacity_across_windows() {
-    let (base_allocs, base_windows) = run_with_window(50_000);
-    let (dense_allocs, dense_windows) = run_with_window(12_500);
+/// Asserts quadrupling the window count adds at most one allocation
+/// per extra window (its record's metrics snapshot); the slack covers
+/// the window list's amortized doubling. A second per-window
+/// allocation doubles `delta` and fails loudly.
+fn assert_window_discipline(chmu: bool) {
+    let (base_allocs, base_windows) = run_with_window(50_000, chmu);
+    let (dense_allocs, dense_windows) = run_with_window(12_500, chmu);
     assert!(
         dense_windows >= 2 * base_windows && base_windows >= 4,
         "expected the shorter window to at least double the window count \
          (got {base_windows} vs {dense_windows})"
     );
-    // Same accesses, only more window boundaries: each extra window may
-    // cost exactly one allocation (its record's metrics snapshot); the
-    // slack covers the window list's amortized doubling. A second
-    // per-window allocation doubles `delta` and fails loudly.
     let extra_windows = (dense_windows - base_windows) as u64;
     let delta = dense_allocs.saturating_sub(base_allocs);
     assert!(
         delta <= extra_windows + 48,
-        "window machinery allocates per window: {extra_windows} extra windows \
-         cost {delta} extra allocations ({base_allocs} -> {dense_allocs})"
+        "window machinery allocates per window (chmu={chmu}): {extra_windows} extra \
+         windows cost {delta} extra allocations ({base_allocs} -> {dense_allocs})"
     );
 }
 
 #[test]
-fn serial_loop_is_equally_allocation_disciplined() {
-    let run = |window_cycles: u64| {
-        let mut cfg = MachineConfig::skylake_cxl(64);
-        cfg.window_cycles = window_cycles;
-        cfg.track_page_stalls = true;
-        let wl = workload();
-        // Invariant: same fields as above minus sharding; still valid.
-        let machine = Machine::new(cfg).expect("config is valid");
-        let mut policy = FirstTouch::new();
-        let before = allocations();
-        let report = machine.run(&wl, &mut policy);
-        (allocations() - before, report.windows.len())
-    };
-    let (base_allocs, base_windows) = run(50_000);
-    let (dense_allocs, dense_windows) = run(12_500);
-    assert!(dense_windows >= 2 * base_windows && base_windows >= 4);
-    let extra_windows = (dense_windows - base_windows) as u64;
-    let delta = dense_allocs.saturating_sub(base_allocs);
-    assert!(
-        delta <= extra_windows + 48,
-        "serial window machinery allocates per window: {extra_windows} extra \
-         windows cost {delta} extra allocations ({base_allocs} -> {dense_allocs})"
-    );
+fn window_buffers_reuse_capacity_across_windows() {
+    assert_window_discipline(true);
+}
+
+#[test]
+fn chmu_free_run_is_equally_allocation_disciplined() {
+    assert_window_discipline(false);
 }

@@ -32,10 +32,9 @@ fn retry_heavy_plan() -> FaultPlan {
     }
 }
 
-fn snap_cfg(shards: usize, snapshot_every: u64) -> MachineConfig {
+fn snap_cfg(snapshot_every: u64) -> MachineConfig {
     let mut cfg = MachineConfig::skylake_cxl(128);
     cfg.seed = 7;
-    cfg.shards = shards;
     cfg.snapshot_every = snapshot_every;
     cfg.track_page_stalls = true;
     cfg.fault_plan = Some(retry_heavy_plan());
@@ -50,7 +49,7 @@ fn fresh_policy() -> PactPolicy {
 /// at every `snapshot_every`-window boundary.
 fn capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
     let wl = build("masim", Scale::Smoke, 7);
-    let machine = Machine::new(snap_cfg(1, snapshot_every)).expect("config is valid");
+    let machine = Machine::new(snap_cfg(snapshot_every)).expect("config is valid");
     let mut policy = fresh_policy();
     let mut frames = Vec::new();
     let mut tracer = Tracer::disabled();
@@ -62,9 +61,9 @@ fn capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
     (report, frames)
 }
 
-fn resume(frame: &MachineSnapshot, shards: usize) -> Result<RunReport, SimError> {
+fn resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
     let wl = build("masim", Scale::Smoke, 7);
-    let machine = Machine::new(snap_cfg(shards, 0)).expect("config is valid");
+    let machine = Machine::new(snap_cfg(0)).expect("config is valid");
     let mut policy = fresh_policy();
     let mut tracer = Tracer::disabled();
     machine.try_resume(&[wl.as_ref()], &mut policy, &mut tracer, frame)
@@ -85,15 +84,10 @@ fn snapshots_mid_retry_backoff_resume_byte_identically() {
     let want = base.to_json();
     for frame in &frames {
         let window = frame.window().expect("frame header is readable");
-        for shards in [1usize, 4, 7] {
-            let got = resume(frame, shards)
-                .unwrap_or_else(|e| panic!("resume from window {window} at {shards} shards: {e}"))
-                .to_json();
-            assert_eq!(
-                got, want,
-                "resume from window {window} at {shards} shards diverged"
-            );
-        }
+        let got = resume(frame)
+            .unwrap_or_else(|e| panic!("resume from window {window}: {e}"))
+            .to_json();
+        assert_eq!(got, want, "resume from window {window} diverged");
     }
 }
 
@@ -106,14 +100,14 @@ fn tampered_frames_fail_closed_under_faults() {
     let mut corrupt = frame.as_bytes().to_vec();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x01;
-    match resume(&MachineSnapshot::from_bytes(corrupt), 4) {
+    match resume(&MachineSnapshot::from_bytes(corrupt)) {
         Err(SimError::Snapshot(e)) => assert!(e.contains("checksum"), "{e}"),
         other => panic!("corrupt frame must be rejected, got {other:?}"),
     }
     // Dropping the fault plan changes the configuration fingerprint:
     // resuming a faulted capture on a fault-free machine is refused.
     let wl = build("masim", Scale::Smoke, 7);
-    let mut clean_cfg = snap_cfg(1, 0);
+    let mut clean_cfg = snap_cfg(0);
     clean_cfg.fault_plan = None;
     let machine = Machine::new(clean_cfg).expect("config is valid");
     let mut policy = fresh_policy();
@@ -130,8 +124,8 @@ fn tampered_frames_fail_closed_under_faults() {
 /// the admission controller is rejecting and deferring orders at most
 /// window boundaries — so snapshot frames carry live token buckets,
 /// the backpressure flag, and a non-empty deferral queue.
-fn fleet_snap_cfg(shards: usize, snapshot_every: u64) -> MachineConfig {
-    let mut cfg = snap_cfg(shards, snapshot_every);
+fn fleet_snap_cfg(snapshot_every: u64) -> MachineConfig {
+    let mut cfg = snap_cfg(snapshot_every);
     cfg.tenants = vec![
         pact_tiersim::TenantSpec::new("gups", 4),
         pact_tiersim::TenantSpec::new("mlc-hog", 1),
@@ -154,7 +148,7 @@ fn fleet_workloads() -> Vec<Box<dyn pact_tiersim::Workload>> {
 fn fleet_capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
     let workloads = fleet_workloads();
     let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let machine = Machine::new(fleet_snap_cfg(1, snapshot_every)).expect("config is valid");
+    let machine = Machine::new(fleet_snap_cfg(snapshot_every)).expect("config is valid");
     let mut policy = fresh_policy();
     let mut frames = Vec::new();
     let mut tracer = Tracer::disabled();
@@ -164,10 +158,10 @@ fn fleet_capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
     (report, frames)
 }
 
-fn fleet_resume(frame: &MachineSnapshot, shards: usize) -> Result<RunReport, SimError> {
+fn fleet_resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
     let workloads = fleet_workloads();
     let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let machine = Machine::new(fleet_snap_cfg(shards, 0)).expect("config is valid");
+    let machine = Machine::new(fleet_snap_cfg(0)).expect("config is valid");
     let mut policy = fresh_policy();
     let mut tracer = Tracer::disabled();
     machine.try_resume(&refs, &mut policy, &mut tracer, frame)
@@ -189,17 +183,10 @@ fn fleet_snapshots_mid_backpressure_resume_byte_identically() {
     let want = base.to_json();
     for frame in &frames {
         let window = frame.window().expect("frame header is readable");
-        for shards in [1usize, 4, 7] {
-            let got = fleet_resume(frame, shards)
-                .unwrap_or_else(|e| {
-                    panic!("fleet resume from window {window} at {shards} shards: {e}")
-                })
-                .to_json();
-            assert_eq!(
-                got, want,
-                "fleet resume from window {window} at {shards} shards diverged"
-            );
-        }
+        let got = fleet_resume(frame)
+            .unwrap_or_else(|e| panic!("fleet resume from window {window}: {e}"))
+            .to_json();
+        assert_eq!(got, want, "fleet resume from window {window} diverged");
     }
 }
 
@@ -210,7 +197,7 @@ fn fleet_frames_refuse_a_tenantless_machine() {
     // not silently degraded.
     let (_, frames) = fleet_capture(8);
     let frame = frames.last().expect("at least one fleet snapshot");
-    let mut cfg = fleet_snap_cfg(1, 0);
+    let mut cfg = fleet_snap_cfg(0);
     cfg.tenants = Vec::new();
     cfg.admission = None;
     let machine = Machine::new(cfg).expect("config is valid");
