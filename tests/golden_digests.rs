@@ -7,8 +7,10 @@
 //! (gups), fault injection, CHMU sampling (order-dependent
 //! Space-Saving table), colocation, a fleet cell under admission
 //! control, a 64-thread random-load cell where the next-thread pick
-//! dominates, and a run resumed from a mid-run snapshot frame (whose
-//! bytes are pinned too).
+//! dominates, and runs resumed from a mid-run snapshot frame (whose
+//! bytes are pinned too): single-workload, colocated, and a fleet cell
+//! with admission control, which between them cover every frame
+//! section the per-tenant counter lanes touch.
 //!
 //! Fault plans are set explicitly on the machine configuration rather
 //! than through `PACT_FAULTS` (mutating the environment is unsound
@@ -25,7 +27,7 @@ use pact_workloads::suite::{build, Scale};
 
 /// Pinned `(cell, report JSON, JSONL trace, page_stalls)` digests.
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64, u64, u64); 7] = [
+const GOLDEN: [(&str, u64, u64, u64); 9] = [
     ("plain", 0xdd626a9c107a6696, 0xf800148f2c4cb2aa, 0x654b6f9f902fd2b4),
     ("faulted", 0x6a35e98835a559ce, 0xdb1698818e93874e, 0xd222a24592572c31),
     ("chmu", 0x59a41d601ae7e577, 0x7e7ce55f2f0f7377, 0xcae10c3fb902345f),
@@ -33,11 +35,20 @@ const GOLDEN: [(&str, u64, u64, u64); 7] = [
     ("fleet", 0x5f68863ea3ab026a, 0xf6f5784e62ac099f, 0xec12246956a18bf4),
     ("random-64", 0x18eb4878d791ba7e, 0x7ceeb93e84665b4c, 0x885b0acc814bbc6f),
     ("resumed", 0xb293c9312e3e4b5b, 0x2d56cb46c2771251, 0x51fc8ac1e701ae94),
+    ("resumed-colocated", 0x271d513a0e8fe021, 0x90cbca6609b45d6f, 0x666f2839d9ffe6d4),
+    ("resumed-fleet", 0x1ff96da2f20992ee, 0x22bbdc01743e9192, 0x367718fbf5437028),
 ];
 
 /// Pinned digest of every snapshot frame of the `resumed` cell's
 /// capture run, concatenated.
 const GOLDEN_FRAMES: u64 = 0xd4d5b014e7e0f2ef;
+
+/// Pinned digests of the concatenated capture-run frames of the other
+/// resumed cells.
+const GOLDEN_RESUMED_FRAMES: [(&str, u64); 2] = [
+    ("resumed-colocated", 0x3760d548d781e329),
+    ("resumed-fleet", 0x6ee93bdfe7ddd1dc),
+];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -209,16 +220,13 @@ fn random_64() -> (u64, u64, u64) {
 
 /// Captures a frame every two windows, resumes from the middle frame,
 /// and digests the resumed run plus the capture run's frames.
-fn resumed() -> ((u64, u64, u64), u64) {
-    let wl = build("masim", Scale::Smoke, 7);
-    let mut cfg = base_cfg(128);
-    cfg.seed = 7;
+fn resume_cell(mut cfg: MachineConfig, workloads: &[&dyn Workload]) -> ((u64, u64, u64), u64) {
     cfg.snapshot_every = 2;
     let machine = Machine::new(cfg.clone()).expect("config is valid");
     let mut frames: Vec<MachineSnapshot> = Vec::new();
     machine
         .try_run_snapshotting(
-            &[wl.as_ref()],
+            workloads,
             pact().as_mut(),
             &mut Tracer::ring(1 << 14),
             &mut |s| frames.push(s),
@@ -235,13 +243,52 @@ fn resumed() -> ((u64, u64, u64), u64) {
     let mut tracer = Tracer::ring(1 << 14);
     let report = machine
         .try_resume(
-            &[wl.as_ref()],
+            workloads,
             pact().as_mut(),
             &mut tracer,
             &frames[frames.len() / 2],
         )
         .expect("resume succeeds");
     (artifacts(&report, &tracer), fnv1a(&all))
+}
+
+fn resumed() -> ((u64, u64, u64), u64) {
+    let wl = build("masim", Scale::Smoke, 7);
+    let mut cfg = base_cfg(128);
+    cfg.seed = 7;
+    resume_cell(cfg, &[wl.as_ref()])
+}
+
+/// Two colocated workloads without tenants: the frame carries the
+/// global counters and migration ledger only.
+fn resumed_colocated() -> ((u64, u64, u64), u64) {
+    let a = build("gups", Scale::Smoke, 3);
+    let b = build("masim", Scale::Smoke, 4);
+    let mut cfg = base_cfg(192);
+    cfg.seed = 5;
+    resume_cell(cfg, &[a.as_ref(), b.as_ref()])
+}
+
+/// The fleet cell's tenants under admission control: the frame also
+/// carries the per-tenant counter lanes, ledgers and token buckets.
+fn resumed_fleet() -> ((u64, u64, u64), u64) {
+    let wls: Vec<Box<dyn Workload>> = ["gups", "mlc-hog", "masim"]
+        .iter()
+        .map(|name| build(name, Scale::Smoke, 13))
+        .collect();
+    let refs: Vec<&dyn Workload> = wls.iter().map(|w| w.as_ref()).collect();
+    let mut cfg = base_cfg(128);
+    cfg.seed = 13;
+    cfg.tenants = vec![
+        TenantSpec::new("gups", 4),
+        TenantSpec::new("mlc-hog", 1),
+        TenantSpec::new("masim", 2),
+    ];
+    cfg.admission = Some(AdmissionControl {
+        budget_per_window: 3,
+        ..AdmissionControl::default()
+    });
+    resume_cell(cfg, &refs)
 }
 
 /// Asserts `got` equals the pinned row of `cell`, printing the
@@ -298,4 +345,29 @@ fn resumed_cell_and_its_frames_match_golden_digests() {
         "snapshot frames diverged; computed {frames:#018x}"
     );
     check("resumed", got);
+}
+
+/// Asserts a resumed cell's artifacts and capture frames against their
+/// pinned rows.
+fn check_resumed(cell: &str, (got, frames): ((u64, u64, u64), u64)) {
+    let (_, want) = GOLDEN_RESUMED_FRAMES
+        .iter()
+        .find(|row| row.0 == cell)
+        .copied()
+        .expect("cell frames are pinned");
+    assert_eq!(
+        frames, want,
+        "{cell} snapshot frames diverged; computed {frames:#018x}"
+    );
+    check(cell, got);
+}
+
+#[test]
+fn resumed_colocated_cell_and_its_frames_match_golden_digests() {
+    check_resumed("resumed-colocated", resumed_colocated());
+}
+
+#[test]
+fn resumed_fleet_cell_and_its_frames_match_golden_digests() {
+    check_resumed("resumed-fleet", resumed_fleet());
 }
