@@ -39,7 +39,6 @@ pub struct SpaceSaving {
     capacity: usize,
     heap: Vec<Slot>,
     /// page id -> heap index + 1; 0 means untracked. Grown on demand.
-    // snapshot: skip — dense index rebuilt from the restored heap order
     pos: Vec<u32>,
     total: u64,
 }
@@ -179,14 +178,21 @@ impl SpaceSaving {
     /// Serializes the counter table (heap order and totals; the dense
     /// position index is rebuilt on restore).
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.heap.len());
-        for s in &self.heap {
-            w.put_u64(s.page.0);
-            w.put_u64(s.count);
-            w.put_u64(s.err);
+        let SpaceSaving {
+            capacity,
+            heap,
+            // Dense index, rebuilt from the heap order on decode.
+            pos: _,
+            total,
+        } = self;
+        w.put_usize(*capacity);
+        w.put_usize(heap.len());
+        for &Slot { page, count, err } in heap {
+            w.put_u64(page.0);
+            w.put_u64(count);
+            w.put_u64(err);
         }
-        w.put_u64(self.total);
+        w.put_u64(*total);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
@@ -212,10 +218,17 @@ impl SpaceSaving {
             heap.push(Slot { page, count, err });
         }
         let total = r.get_u64().map_err(e)?;
-        // Rebuild the dense position index from the restored heap order.
         self.reset();
-        self.heap = heap;
-        self.total = total;
+        let SpaceSaving {
+            // Checked against the frame above.
+            capacity: _,
+            heap: slots,
+            // Rebuilt below from the restored heap order.
+            pos: _,
+            total: sum,
+        } = self;
+        *slots = heap;
+        *sum = total;
         for i in 0..self.heap.len() {
             let page = self.heap[i].page;
             if self.pos.get(page.0 as usize).copied().unwrap_or(0) != 0 {
@@ -277,12 +290,14 @@ impl Chmu {
 
     /// Serializes the device counter table for the snapshot.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        self.table.encode_state(w);
+        let Chmu { table } = self;
+        table.encode_state(w);
     }
 
     /// Restores the device counter table from a snapshot.
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        self.table.decode_state(r)
+        let Chmu { table } = self;
+        table.decode_state(r)
     }
 }
 

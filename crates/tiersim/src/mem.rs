@@ -36,9 +36,9 @@ pub struct Memory {
     flags: Vec<u8>,
     /// Saturating window stamp of the last touch, unit-head only.
     last_window: Vec<u32>,
-    fast_capacity: u64, // snapshot: skip — fixed by the configuration on restore
+    fast_capacity: u64,
     fast_used: u64,
-    unit_span: u64, // snapshot: skip — fixed by the configuration on restore
+    unit_span: u64,
     /// CLOCK list of fast-resident unit heads (approximate LRU).
     fast_clock: VecDeque<PageId>,
     /// Scan list of slow-resident unit heads (for hint-fault poisoning
@@ -342,22 +342,34 @@ impl Memory {
     /// stamps, residency bookkeeping, CLOCK list, and slow-scan list —
     /// for the crash-recovery snapshot.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_bytes(&self.tier);
-        w.put_bytes(&self.flags);
-        w.put_usize(self.last_window.len());
-        for &lw in &self.last_window {
+        let Memory {
+            tier,
+            flags,
+            last_window,
+            // Fixed by the configuration.
+            fast_capacity: _,
+            fast_used,
+            unit_span: _,
+            fast_clock,
+            slow_scan,
+            slow_cursor,
+        } = self;
+        w.put_bytes(tier);
+        w.put_bytes(flags);
+        w.put_usize(last_window.len());
+        for &lw in last_window {
             w.put_u32(lw);
         }
-        w.put_u64(self.fast_used);
-        w.put_usize(self.fast_clock.len());
-        for &p in &self.fast_clock {
+        w.put_u64(*fast_used);
+        w.put_usize(fast_clock.len());
+        for &p in fast_clock {
             w.put_u64(p.0);
         }
-        w.put_usize(self.slow_scan.len());
-        for &p in &self.slow_scan {
+        w.put_usize(slow_scan.len());
+        for &p in slow_scan {
             w.put_u64(p.0);
         }
-        w.put_usize(self.slow_cursor);
+        w.put_usize(*slow_cursor);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
@@ -410,13 +422,25 @@ impl Memory {
         {
             return Err("memory state: list entry beyond page table".to_string());
         }
-        self.tier.copy_from_slice(tier);
-        self.flags.copy_from_slice(flags);
-        self.last_window = last_window;
-        self.fast_used = fast_used;
-        self.fast_clock = fast_clock;
-        self.slow_scan = slow_scan;
-        self.slow_cursor = slow_cursor;
+        let Memory {
+            tier: tier_codes,
+            flags: flag_bits,
+            last_window: stamps,
+            // Kept from the configuration at construction.
+            fast_capacity: _,
+            fast_used: used,
+            unit_span: _,
+            fast_clock: clock,
+            slow_scan: scan,
+            slow_cursor: cursor,
+        } = self;
+        tier_codes.copy_from_slice(tier);
+        flag_bits.copy_from_slice(flags);
+        *stamps = last_window;
+        *used = fast_used;
+        *clock = fast_clock;
+        *scan = slow_scan;
+        *cursor = slow_cursor;
         Ok(())
     }
 }

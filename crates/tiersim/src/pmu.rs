@@ -127,32 +127,74 @@ impl PmuCounters {
         self.llc_stalls[0] + self.llc_stalls[1]
     }
 
+    /// Adds every counter of `other` into `self` (summing lanes).
+    pub fn accumulate(&mut self, other: &PmuCounters) {
+        let PmuCounters {
+            accesses,
+            loads,
+            stores,
+            llc_hits,
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+            hint_faults,
+            pebs_samples,
+        } = other;
+        self.accesses += accesses;
+        self.loads += loads;
+        self.stores += stores;
+        self.llc_hits += llc_hits;
+        self.hint_faults += hint_faults;
+        self.pebs_samples += pebs_samples;
+        for t in 0..2 {
+            self.llc_misses[t] += llc_misses[t];
+            self.llc_stalls[t] += llc_stalls[t];
+            self.tor_occupancy[t] += tor_occupancy[t];
+            self.tor_busy[t] += tor_busy[t];
+            self.demand_latency_sum[t] += demand_latency_sum[t];
+            self.bytes[t] += bytes[t];
+            self.prefetches[t] += prefetches[t];
+        }
+    }
+
     /// Serializes every counter field, in declaration order.
     pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        for v in [
-            self.accesses,
-            self.loads,
-            self.stores,
-            self.llc_hits,
-            self.llc_misses[0],
-            self.llc_misses[1],
-            self.llc_stalls[0],
-            self.llc_stalls[1],
-            self.tor_occupancy[0],
-            self.tor_occupancy[1],
-            self.tor_busy[0],
-            self.tor_busy[1],
-            self.demand_latency_sum[0],
-            self.demand_latency_sum[1],
-            self.bytes[0],
-            self.bytes[1],
-            self.prefetches[0],
-            self.prefetches[1],
-            self.hint_faults,
-            self.pebs_samples,
-        ] {
+        let PmuCounters {
+            accesses,
+            loads,
+            stores,
+            llc_hits,
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+            hint_faults,
+            pebs_samples,
+        } = *self;
+        for v in [accesses, loads, stores, llc_hits] {
             w.put_u64(v);
         }
+        for pair in [
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+        ] {
+            w.put_u64(pair[0]);
+            w.put_u64(pair[1]);
+        }
+        w.put_u64(hint_faults);
+        w.put_u64(pebs_samples);
     }
 
     /// Restores counters captured by [`encode_state`](Self::encode_state).

@@ -20,10 +20,8 @@ const EPOCHS: usize = 32;
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Cycles one 64-byte line occupies the channel.
-    // snapshot: skip — fixed by channel construction on restore
     transfer: f64,
     /// Line capacity of one epoch.
-    // snapshot: skip — fixed by channel construction on restore
     cap: f64,
     /// Lines booked per epoch, ring-indexed by `epoch % EPOCHS`.
     lines: [f64; EPOCHS],
@@ -149,12 +147,21 @@ impl Channel {
     /// Serializes the epoch ring, carry, and lifetime booking counter
     /// (transfer time and capacity come from construction on restore).
     pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        for &l in &self.lines {
+        let Channel {
+            // Fixed by channel construction.
+            transfer: _,
+            cap: _,
+            lines,
+            base,
+            carry,
+            booked,
+        } = self;
+        for &l in lines {
             w.put_f64(l);
         }
-        w.put_u64(self.base);
-        w.put_f64(self.carry);
-        w.put_u64(self.booked);
+        w.put_u64(*base);
+        w.put_f64(*carry);
+        w.put_u64(*booked);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
@@ -163,13 +170,22 @@ impl Channel {
         &mut self,
         r: &mut pact_stats::ByteReader<'_>,
     ) -> Result<(), String> {
+        let Channel {
+            // Kept from construction.
+            transfer: _,
+            cap: _,
+            lines,
+            base,
+            carry,
+            booked,
+        } = self;
         let e = |e: pact_stats::CodecError| format!("channel state: {e}");
-        for l in &mut self.lines {
+        for l in lines.iter_mut() {
             *l = r.get_f64().map_err(e)?;
         }
-        self.base = r.get_u64().map_err(e)?;
-        self.carry = r.get_f64().map_err(e)?;
-        self.booked = r.get_u64().map_err(e)?;
+        *base = r.get_u64().map_err(e)?;
+        *carry = r.get_f64().map_err(e)?;
+        *booked = r.get_u64().map_err(e)?;
         Ok(())
     }
 
