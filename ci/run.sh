@@ -53,19 +53,19 @@ stage_fmt() {
 }
 
 # Static analysis, two layers: pact-lint (the workspace determinism &
-# hygiene linter — token rules in DESIGN.md §11, semantic X-rules in
-# §16) and clippy with warnings denied. The mutation self-test proves
-# the semantic analyzer still has teeth (seeded deletions of a codec
-# field write, a tenant counter mirror, and an EventKind match arm must
-# each be caught), then the full scan gates on zero unsuppressed
+# hygiene linter, token rules in DESIGN.md §11) and clippy with
+# warnings denied. The pact-lint scan gates on zero unsuppressed
 # findings and leaves the JSON report in target/ci-lint for the
-# workflow's artifact upload. `tierctl lint` exits 1 on findings, 2 on
-# usage/IO errors; either fails the stage.
+# workflow's artifact upload; `tierctl lint` exits 1 on findings, 2 on
+# usage/IO errors, and either fails the stage. The mutation step
+# (ci/mutants.sh, DESIGN.md §16) then proves the invariants the build
+# enforces by construction still have teeth: a dropped codec field
+# write, a counter bump outside the tenant lanes, and `_` arms in an
+# EventKind match must each fail cargo check or clippy.
 stage_lint() {
     lint_dir="target/ci-lint"
     rm -rf "$lint_dir"
     mkdir -p "$lint_dir"
-    cargo run --release -p pact-bench --bin tierctl -- lint --self-test
     rc=0
     cargo run --release -p pact-bench --bin tierctl -- lint --json \
         > "$lint_dir/lint-report.json" || rc=$?
@@ -75,6 +75,7 @@ stage_lint() {
         exit 1
     }
     cargo clippy --workspace --all-targets -- -D warnings
+    sh ci/mutants.sh
 }
 
 stage_build() {
