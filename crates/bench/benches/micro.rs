@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the PACT hot paths: PAC store updates,
-//! reservoir + Freedman-Diaconis recomputation, LLC probes, engine
-//! throughput, and the event loop's next-thread pick across thread
-//! counts.
+//! reservoir + Freedman-Diaconis recomputation, LLC probes, tier
+//! channel booking, engine throughput, and the event loop's next-thread
+//! pick across thread counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -9,8 +9,8 @@ use std::hint::black_box;
 use pact_core::{AdaptiveBins, PacStore, PactConfig};
 use pact_stats::{freedman_diaconis_width, Reservoir, SplitMix64};
 use pact_tiersim::{
-    Access, AccessStream, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId, SpaceSaving,
-    TraceWorkload, Workload, PAGE_BYTES,
+    Access, AccessStream, Channel, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId,
+    SpaceSaving, TierConfig, TraceWorkload, Workload, PAGE_BYTES,
 };
 use pact_workloads::Zipf;
 
@@ -74,6 +74,50 @@ fn bench_llc(c: &mut Criterion) {
             llc.access(black_box(x % 100_000))
         });
     });
+}
+
+/// The tier channel alone: one booking or backlog query per iteration,
+/// at the ~4-cycle spacing of a loaded channel.
+fn bench_channel(c: &mut Criterion) {
+    // The emulated CXL channel at 2.2 GHz: 4.4 cycles per line.
+    let transfer = TierConfig::EMULATED_CXL.line_transfer_cycles(2.2);
+    let mut group = c.benchmark_group("channel_book");
+    group.bench_function("monotone_single_line", |b| {
+        let mut ch = Channel::new(transfer);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 4;
+            black_box(ch.book(t, 1))
+        });
+    });
+    group.bench_function("interleaved_256_jittered", |b| {
+        // 256 thread clocks trail a shared clock by a fixed lag of up to
+        // half the 4096-cycle epoch ring plus per-access jitter, so
+        // consecutive bookings land out of order across ring epochs.
+        let mut ch = Channel::new(transfer);
+        let mut rng = SplitMix64::new(3);
+        let lags: Vec<u64> = (0..256).map(|_| rng.random_range(0..2_048u64)).collect();
+        let (mut now, mut i) = (1u64 << 20, 0usize);
+        b.iter(|| {
+            now += 4;
+            i = (i + 1) % lags.len();
+            let t = now - lags[i] - rng.random_range(0..256u64);
+            black_box(ch.book(t, 1))
+        });
+    });
+    group.bench_function("backlog_cycles", |b| {
+        let mut ch = Channel::new(transfer);
+        let mut t = 0u64;
+        for _ in 0..10_000 {
+            t += 4;
+            ch.book(t, 1);
+        }
+        b.iter(|| {
+            t += 4;
+            black_box(ch.backlog_cycles(t))
+        });
+    });
+    group.finish();
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -197,6 +241,7 @@ criterion_group!(
     bench_pac_store,
     bench_binning,
     bench_llc,
+    bench_channel,
     bench_engine,
     bench_event_loop,
     bench_samplers,

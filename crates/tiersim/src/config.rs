@@ -347,6 +347,17 @@ impl MachineConfig {
             if !(t.latency_ns > 0.0) || !(t.bandwidth_gbps > 0.0) {
                 return Err(ConfigError("tier latency and bandwidth must be positive"));
             }
+            // Clocks add latencies in u64 cycles, and a channel needs a
+            // positive, finite line transfer time.
+            if !(t.latency_ns * self.freq_ghz < u32::MAX as f64) {
+                return Err(ConfigError("tier latency must be under 2^32 cycles"));
+            }
+            let transfer = t.line_transfer_cycles(self.freq_ghz);
+            if !(transfer > 0.0 && transfer.is_finite()) {
+                return Err(ConfigError(
+                    "tier line transfer time must be positive and finite",
+                ));
+            }
         }
         if !(0.0..=1.0).contains(&self.prefetch.coverage) {
             return Err(ConfigError("prefetch.coverage must be in [0, 1]"));

@@ -31,6 +31,11 @@ pub struct Channel {
     carry: f64,
     /// Lifetime count of lines booked (for per-window traffic metrics).
     booked: u64,
+    /// Busy-period backlog (lines) after each epoch, ring-indexed like
+    /// `lines`; exact for epochs in `[base, valid)`.
+    prefix: [f64; EPOCHS],
+    /// First epoch whose cached prefix is stale.
+    valid: u64,
 }
 
 impl Channel {
@@ -52,6 +57,8 @@ impl Channel {
             base: 0,
             carry: 0.0,
             booked: 0,
+            prefix: [0.0; EPOCHS],
+            valid: 0,
         }
     }
 
@@ -60,40 +67,66 @@ impl Channel {
         self.transfer
     }
 
-    fn advance_to(&mut self, epoch: u64) {
-        if epoch < self.base + EPOCHS as u64 {
-            return;
+    /// Expires ring epochs older than the window ending at `t`'s epoch
+    /// into the carry; returns that epoch, clamped into the ring (very
+    /// old arrivals land in the oldest slot).
+    fn advance_to(&mut self, t: u64) -> u64 {
+        let epoch = t / EPOCH_CYCLES;
+        if epoch >= self.base + EPOCHS as u64 {
+            let shift = epoch + 1 - (self.base + EPOCHS as u64);
+            for _ in 0..shift.min(EPOCHS as u64) {
+                let idx = slot(self.base);
+                self.carry = (self.carry + self.lines[idx] - self.cap).max(0.0);
+                self.lines[idx] = 0.0;
+                self.base += 1;
+            }
+            if shift > EPOCHS as u64 {
+                // The whole window expired: drain the carry across the gap.
+                let gap = shift - EPOCHS as u64;
+                self.carry = (self.carry - gap as f64 * self.cap).max(0.0);
+                self.base += gap;
+            }
+            // The carry is the expired epochs' prefix, so cached prefixes
+            // of surviving epochs stay exact.
+            self.valid = self.valid.max(self.base);
         }
-        let shift = epoch + 1 - (self.base + EPOCHS as u64);
-        for _ in 0..shift.min(EPOCHS as u64) {
-            let idx = (self.base % EPOCHS as u64) as usize;
-            self.carry = (self.carry + self.lines[idx] - self.cap).max(0.0);
-            self.lines[idx] = 0.0;
-            self.base += 1;
+        epoch.max(self.base)
+    }
+
+    /// Busy-period backlog (lines) from the oldest tracked epoch through
+    /// ring epoch `e`: the recursion `b = max(0, b + lines[j] - cap)`
+    /// started from the carry, resumed from the last exact prefix.
+    fn backlog_through(&mut self, e: u64) -> f64 {
+        if e < self.valid {
+            return self.prefix[slot(e)];
         }
-        if shift > EPOCHS as u64 {
-            // The whole window expired: drain the carry across the gap.
-            let gap = shift - EPOCHS as u64;
-            self.carry = (self.carry - gap as f64 * self.cap).max(0.0);
-            self.base += gap;
+        let mut backlog = if self.valid == self.base {
+            self.carry
+        } else {
+            self.prefix[slot(self.valid - 1)]
+        };
+        for j in self.valid..=e {
+            backlog = (backlog + self.lines[slot(j)] - self.cap).max(0.0);
+            self.prefix[slot(j)] = backlog;
         }
+        self.valid = e + 1;
+        backlog
+    }
+
+    /// Unserved backlog at cycle `t`, in lines, advancing the ring.
+    fn backlog_lines(&mut self, t: u64) -> f64 {
+        let e = self.advance_to(t);
+        self.backlog_through(e)
     }
 
     /// Books `n` line transfers at cycle `t`; returns the queue delay in
     /// cycles the *last* of them experiences.
     pub fn book(&mut self, t: u64, n: u64) -> f64 {
         self.booked += n;
-        let epoch = t / EPOCH_CYCLES;
-        self.advance_to(epoch);
-        let e = epoch.max(self.base); // very old arrivals clamp to base
-        let idx = (e % EPOCHS as u64) as usize;
-        self.lines[idx] += n as f64;
-        // Busy-period backlog from the oldest tracked epoch through e.
-        let mut backlog = self.carry;
-        for j in self.base..=e {
-            backlog = (backlog + self.lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
-        ((backlog - 1.0).max(0.0)) * self.transfer
+        let e = self.advance_to(t);
+        self.lines[slot(e)] += n as f64;
+        self.valid = self.valid.min(e);
+        ((self.backlog_through(e) - 1.0).max(0.0)) * self.transfer
     }
 
     /// Lifetime count of line transfers booked on this channel.
@@ -107,31 +140,7 @@ impl Channel {
     /// without perturbing subsequent bookings the way
     /// [`backlog_cycles`](Self::backlog_cycles) would.
     pub fn backlog_lines_at(&self, t: u64) -> f64 {
-        let epoch = t / EPOCH_CYCLES;
-        let mut base = self.base;
-        let mut carry = self.carry;
-        let mut lines = self.lines;
-        // Replicates `advance_to` on local copies.
-        if epoch >= base + EPOCHS as u64 {
-            let shift = epoch + 1 - (base + EPOCHS as u64);
-            for _ in 0..shift.min(EPOCHS as u64) {
-                let idx = (base % EPOCHS as u64) as usize;
-                carry = (carry + lines[idx] - self.cap).max(0.0);
-                lines[idx] = 0.0;
-                base += 1;
-            }
-            if shift > EPOCHS as u64 {
-                let gap = shift - EPOCHS as u64;
-                carry = (carry - gap as f64 * self.cap).max(0.0);
-                base += gap;
-            }
-        }
-        let e = epoch.max(base);
-        let mut backlog = carry;
-        for j in base..=e {
-            backlog = (backlog + lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
-        backlog
+        self.clone().backlog_lines(t)
     }
 
     /// Line capacity of one epoch (`EPOCH_CYCLES / transfer_cycles`).
@@ -155,6 +164,9 @@ impl Channel {
             base,
             carry,
             booked,
+            // Derived from the fields above; decode empties it.
+            prefix: _,
+            valid: _,
         } = self;
         for &l in lines {
             w.put_f64(l);
@@ -178,6 +190,9 @@ impl Channel {
             base,
             carry,
             booked,
+            // Derived state, not in the frame: start with an empty cache.
+            prefix: _,
+            valid,
         } = self;
         let e = |e: pact_stats::CodecError| format!("channel state: {e}");
         for l in lines.iter_mut() {
@@ -186,21 +201,20 @@ impl Channel {
         *base = r.get_u64().map_err(e)?;
         *carry = r.get_f64().map_err(e)?;
         *booked = r.get_u64().map_err(e)?;
+        *valid = *base;
         Ok(())
     }
 
     /// Current backlog at cycle `t`, in cycles of channel time (used by
     /// the prefetcher to yield under load).
     pub fn backlog_cycles(&mut self, t: u64) -> f64 {
-        let epoch = t / EPOCH_CYCLES;
-        self.advance_to(epoch);
-        let e = epoch.max(self.base);
-        let mut backlog = self.carry;
-        for j in self.base..=e {
-            backlog = (backlog + self.lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
-        backlog * self.transfer
+        self.backlog_lines(t) * self.transfer
     }
+}
+
+/// Ring slot of `epoch`.
+fn slot(epoch: u64) -> usize {
+    (epoch % EPOCHS as u64) as usize
 }
 
 #[cfg(test)]
@@ -307,6 +321,137 @@ mod tests {
             assert!(
                 (pure * 4.0 - cycles).abs() < 1e-9,
                 "t={t}: {pure} lines vs {cycles} cycles"
+            );
+        }
+    }
+
+    /// The channel without the prefix cache: every query reruns the
+    /// busy-period recursion over the whole ring from the carry. The
+    /// bit-exact reference for [`Channel`].
+    #[derive(Clone)]
+    struct FullScan {
+        transfer: f64,
+        cap: f64,
+        lines: [f64; EPOCHS],
+        base: u64,
+        carry: f64,
+    }
+
+    impl FullScan {
+        fn new(transfer: f64) -> Self {
+            Self {
+                transfer,
+                cap: EPOCH_CYCLES as f64 / transfer,
+                lines: [0.0; EPOCHS],
+                base: 0,
+                carry: 0.0,
+            }
+        }
+
+        fn advance_to(&mut self, epoch: u64) {
+            if epoch < self.base + EPOCHS as u64 {
+                return;
+            }
+            let shift = epoch + 1 - (self.base + EPOCHS as u64);
+            for _ in 0..shift.min(EPOCHS as u64) {
+                let idx = (self.base % EPOCHS as u64) as usize;
+                self.carry = (self.carry + self.lines[idx] - self.cap).max(0.0);
+                self.lines[idx] = 0.0;
+                self.base += 1;
+            }
+            if shift > EPOCHS as u64 {
+                let gap = shift - EPOCHS as u64;
+                self.carry = (self.carry - gap as f64 * self.cap).max(0.0);
+                self.base += gap;
+            }
+        }
+
+        fn scan(&self, e: u64) -> f64 {
+            let mut backlog = self.carry;
+            for j in self.base..=e {
+                backlog = (backlog + self.lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
+            }
+            backlog
+        }
+
+        fn book(&mut self, t: u64, n: u64) -> f64 {
+            let epoch = t / EPOCH_CYCLES;
+            self.advance_to(epoch);
+            let e = epoch.max(self.base);
+            self.lines[(e % EPOCHS as u64) as usize] += n as f64;
+            ((self.scan(e) - 1.0).max(0.0)) * self.transfer
+        }
+
+        fn backlog_cycles(&mut self, t: u64) -> f64 {
+            let epoch = t / EPOCH_CYCLES;
+            self.advance_to(epoch);
+            self.scan(epoch.max(self.base)) * self.transfer
+        }
+
+        fn backlog_lines_at(&self, t: u64) -> f64 {
+            let mut probe = self.clone();
+            let epoch = t / EPOCH_CYCLES;
+            probe.advance_to(epoch);
+            probe.scan(epoch.max(probe.base))
+        }
+    }
+
+    #[test]
+    fn prefix_cache_is_bit_identical_to_the_full_ring_scan() {
+        const CALLS: u32 = 40_000;
+        let ring = EPOCHS as u64 * EPOCH_CYCLES;
+        let mut rng = pact_stats::SplitMix64::new(0x00C0_FFEE);
+        // Under- to over-subscribed: 128, 47, 32 and 29 lines per epoch.
+        for transfer in [1.0, 2.708, 4.0, 4.4] {
+            let mut ch = Channel::new(transfer);
+            let mut reference = FullScan::new(transfer);
+            let mut now = 0u64;
+            let mut queued = 0u32;
+            for call in 0..CALLS {
+                if call == CALLS / 2 {
+                    let mut w = pact_stats::ByteWriter::new();
+                    ch.encode_state(&mut w);
+                    let bytes = w.into_bytes();
+                    ch = Channel::new(transfer);
+                    ch.decode_state(&mut pact_stats::ByteReader::new(&bytes))
+                        .expect("frame decodes");
+                }
+                let t = match rng.random_range(0..64u32) {
+                    // A gap longer than the ring expires every epoch.
+                    0 => {
+                        now += rng.random_range(ring + EPOCH_CYCLES..3 * ring);
+                        now
+                    }
+                    // Older than the ring: clamps into the base epoch.
+                    1 | 2 => now.saturating_sub(rng.random_range(ring..10 * ring)),
+                    // Out of order within the ring.
+                    3..=14 => now.saturating_sub(rng.random_range(0..ring)),
+                    // In order.
+                    _ => {
+                        now += rng.random_range(0..8u64);
+                        now
+                    }
+                };
+                let n = if rng.random_range(0..32u32) == 0 {
+                    rng.random_range(1..4097u64)
+                } else {
+                    1
+                };
+                let (got, want) = match rng.random_range(0..8u32) {
+                    0 => (ch.backlog_cycles(t), reference.backlog_cycles(t)),
+                    1 => (ch.backlog_lines_at(t), reference.backlog_lines_at(t)),
+                    _ => (ch.book(t, n), reference.book(t, n)),
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "transfer {transfer}, call {call} at t={t}: {got} vs {want}"
+                );
+                queued += u32::from(got > 0.0);
+            }
+            assert!(
+                queued > CALLS / 10,
+                "transfer {transfer}: only {queued} calls saw a queue"
             );
         }
     }

@@ -157,6 +157,37 @@ fn invalid_machine_configs_are_errors_never_panics() {
 }
 
 #[test]
+fn non_finite_tier_timings_are_errors_never_panics() {
+    let wl = build("gups", Scale::Smoke, 1);
+    let mut configs = Vec::new();
+    for (label, bandwidth_gbps) in [
+        ("bandwidth inf", f64::INFINITY),
+        ("bandwidth 1e-310", 1e-310),
+    ] {
+        let mut cfg = MachineConfig::skylake_cxl(64);
+        cfg.tiers[Tier::Slow.index()].bandwidth_gbps = bandwidth_gbps;
+        configs.push((label, cfg));
+    }
+    let mut cfg = MachineConfig::skylake_cxl(64);
+    cfg.freq_ghz = f64::INFINITY;
+    configs.push(("frequency inf", cfg));
+    let mut cfg = MachineConfig::skylake_cxl(64);
+    cfg.tiers[Tier::Slow.index()].latency_ns = f64::INFINITY;
+    configs.push(("latency inf", cfg));
+    for (label, cfg) in configs {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut policy = PactPolicy::new(PactConfig::default()).expect("default is valid");
+            Machine::new(cfg)?.try_run(wl.as_ref(), &mut policy)
+        }));
+        let inner = r.unwrap_or_else(|_| panic!("{label} panicked"));
+        assert!(
+            matches!(inner, Err(SimError::Config(_))),
+            "{label} must be rejected"
+        );
+    }
+}
+
+#[test]
 fn degenerate_workload_sets_are_errors() {
     let machine = Machine::new(MachineConfig::skylake_cxl(64)).expect("valid");
     let mut policy = PactPolicy::new(PactConfig::default()).expect("default is valid");
