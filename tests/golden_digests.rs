@@ -11,7 +11,9 @@
 //! bytes are pinned too): single-workload, colocated, and a fleet cell
 //! with admission control, which between them cover every frame
 //! section the per-tenant counter lanes touch. A THP cell with real
-//! 2 MiB migration units covers the channel's large bookings.
+//! 2 MiB migration units covers the channel's large bookings. Every
+//! baseline policy but Soar (which needs a profile pass) runs the
+//! `plain` cell's workload and configuration as a row of its own.
 //!
 //! Fault plans are set explicitly on the machine configuration rather
 //! than through `PACT_FAULTS` (mutating the environment is unsound
@@ -29,7 +31,7 @@ use pact_workloads::Gups;
 
 /// Pinned `(cell, report JSON, JSONL trace, page_stalls)` digests.
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64, u64, u64); 10] = [
+const GOLDEN: [(&str, u64, u64, u64); 17] = [
     ("plain", 0xdd626a9c107a6696, 0xf800148f2c4cb2aa, 0x654b6f9f902fd2b4),
     ("faulted", 0x6a35e98835a559ce, 0xdb1698818e93874e, 0xd222a24592572c31),
     ("chmu", 0x59a41d601ae7e577, 0x7e7ce55f2f0f7377, 0xcae10c3fb902345f),
@@ -40,7 +42,18 @@ const GOLDEN: [(&str, u64, u64, u64); 10] = [
     ("resumed-colocated", 0x271d513a0e8fe021, 0x90cbca6609b45d6f, 0x666f2839d9ffe6d4),
     ("resumed-fleet", 0x1ff96da2f20992ee, 0x22bbdc01743e9192, 0x367718fbf5437028),
     ("thp-512", 0x7f88c5dadc7308c1, 0xfe09fe4ff13de62e, 0x85594754bb455c0d),
+    ("colloid", 0x3e65c8af0084b05e, 0xdd2fa848c7f4d670, 0x654b6f9f902fd2b4),
+    ("nbt", 0x7b48c5282e0c7ef9, 0x353f973293bc45a3, 0x654b6f9f902fd2b4),
+    ("alto", 0x505872dfd868d246, 0x8f508cf3ce65078f, 0x654b6f9f902fd2b4),
+    ("nomad", 0x3f508903bd9c1484, 0x353f973293bc45a3, 0x654b6f9f902fd2b4),
+    ("tpp", 0xd82ae0a50a6a5089, 0x353f973293bc45a3, 0x654b6f9f902fd2b4),
+    ("memtis", 0x06573944fc4fda47, 0x1938b0d0d2c30811, 0x205e4fb79fedc858),
+    ("notier", 0xd1778635069d2508, 0x353f973293bc45a3, 0x654b6f9f902fd2b4),
 ];
+
+/// Baseline policies pinned on the `plain` cell, each under its own
+/// name in `GOLDEN`.
+const BASELINES: [&str; 7] = ["colloid", "nbt", "alto", "nomad", "tpp", "memtis", "notier"];
 
 /// Pinned digest of every snapshot frame of the `resumed` cell's
 /// capture run, concatenated.
@@ -101,8 +114,14 @@ fn artifacts(report: &RunReport, tracer: &Tracer) -> (u64, u64, u64) {
 }
 
 fn plain() -> (u64, u64, u64) {
+    plain_under("pact")
+}
+
+/// The `plain` cell's workload and configuration under `policy`.
+fn plain_under(policy: &str) -> (u64, u64, u64) {
     let wl = build("gups", Scale::Smoke, 42);
-    digest(base_cfg(256), &[wl.as_ref()], pact().as_mut())
+    let mut policy = make_policy(policy).expect("policy is known");
+    digest(base_cfg(256), &[wl.as_ref()], policy.as_mut())
 }
 
 fn faulted() -> (u64, u64, u64) {
@@ -324,6 +343,13 @@ fn check(cell: &str, got: (u64, u64, u64)) {
 #[test]
 fn plain_gated_cell_matches_golden_digests() {
     check("plain", plain());
+}
+
+#[test]
+fn baseline_policy_cells_match_golden_digests() {
+    for policy in BASELINES {
+        check(policy, plain_under(policy));
+    }
 }
 
 #[test]
