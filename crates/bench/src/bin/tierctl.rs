@@ -84,7 +84,7 @@ use pact_tiersim::{
     export_trace, CriticalityReport, Machine, MachineConfig, RunReport, Tier, TraceFormat, Tracer,
     DEFAULT_REPORT_TOPK,
 };
-use pact_workloads::suite::{build, Scale, SUITE};
+use pact_workloads::suite::{build, check_known, Scale, EXTRA, SUITE};
 
 struct Args {
     workload: String,
@@ -253,7 +253,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--list" => {
                 println!("workloads: {}", SUITE.join(", "));
-                println!("           masim, gups (motivation)");
+                println!("           {} (motivation, fleet)", EXTRA.join(", "));
                 println!("policies:  {}", ALL_POLICIES.join(", "));
                 println!("           pact-freq (frequency-ranked PACT)");
                 std::process::exit(0);
@@ -283,6 +283,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    check_known(&args.workload)?;
     Ok(args)
 }
 
@@ -330,6 +331,7 @@ fn parse_check_args(mut it: impl Iterator<Item = String>) -> Result<CheckArgs, S
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    args.workloads.iter().try_for_each(|w| check_known(w))?;
     Ok(args)
 }
 

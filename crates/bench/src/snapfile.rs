@@ -16,6 +16,7 @@
 
 use pact_stats::{ByteReader, ByteWriter, CodecError};
 use pact_tiersim::MachineSnapshot;
+use pact_workloads::suite;
 
 /// File magic for cell snapshots (`tierctl snapshot` output).
 pub const CELL_MAGIC: [u8; 8] = *b"PACTCELL";
@@ -69,9 +70,10 @@ impl CellSnapshot {
     /// # Errors
     ///
     /// Returns a one-line description on bad magic, an unsupported
-    /// wrapper version, a truncated file, or an embedded machine frame
-    /// whose own header does not parse (full frame verification —
-    /// checksum, configuration fingerprint — happens at restore).
+    /// wrapper version, an unknown workload or scale, a truncated
+    /// file, or an embedded machine frame whose own header does not
+    /// parse (full frame verification — checksum, configuration
+    /// fingerprint — happens at restore).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let e = |e: CodecError| format!("cell snapshot: {e}");
         let mut r = ByteReader::new(bytes);
@@ -89,6 +91,7 @@ impl CellSnapshot {
             ));
         }
         let workload = r.get_str().map_err(e)?.to_string();
+        suite::check_known(&workload).map_err(|e| format!("cell snapshot: {e}"))?;
         let policy = r.get_str().map_err(e)?.to_string();
         let scale = r.get_str().map_err(e)?.to_string();
         if scale != "smoke" && scale != "paper" {
@@ -166,10 +169,10 @@ mod tests {
         assert_eq!(back.frame.as_bytes(), cell.frame.as_bytes());
     }
 
-    #[test]
-    fn corrupt_cells_are_rejected() {
-        let cell = CellSnapshot {
-            workload: "gups".into(),
+    /// A PACT cell on `workload` around [`sample_frame`].
+    fn sample_cell(workload: &str) -> CellSnapshot {
+        CellSnapshot {
+            workload: workload.into(),
             policy: "pact".into(),
             scale: "smoke".into(),
             seed: 1,
@@ -177,7 +180,12 @@ mod tests {
             thp: false,
             track_stalls: false,
             frame: sample_frame(),
-        };
+        }
+    }
+
+    #[test]
+    fn corrupt_cells_are_rejected() {
+        let cell = sample_cell("gups");
         let good = cell.to_bytes();
         // Bad magic.
         let mut bad = good.clone();
@@ -204,5 +212,12 @@ mod tests {
         assert!(CellSnapshot::from_bytes(&cell2.to_bytes())
             .unwrap_err()
             .contains("machine frame"));
+    }
+
+    #[test]
+    fn unknown_workload_is_rejected() {
+        let bytes = sample_cell("nope").to_bytes();
+        let err = CellSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("unknown workload 'nope'"), "{err}");
     }
 }

@@ -16,6 +16,7 @@ fn tierctl(args: &[&str]) -> Command {
     cmd.env_remove("PACT_METRICS_ADDR");
     cmd.env_remove("PACT_REPORT_TOPK");
     cmd.env_remove("PACT_SNAPSHOT");
+    cmd.env_remove("PACT_TENANTS");
     cmd
 }
 
@@ -279,16 +280,17 @@ fn snapshot_then_resume_reproduces_the_digest() {
     }
 }
 
-#[test]
-fn resume_rejects_corrupt_and_missing_snapshots_with_2() {
-    let dir = fixture_dir("snap_corrupt");
+/// Captures a gups cell with a frame every window into a fresh fixture
+/// directory and returns the directory and its first frame.
+fn first_snapshot(name: &str, seed: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = fixture_dir(name);
     std::fs::create_dir_all(&dir).expect("mkdir snapshot dir");
     let out = run(&[
         "snapshot",
         "--workload",
         "gups",
         "--seed",
-        "2",
+        seed,
         "--every",
         "1",
         "--out",
@@ -300,6 +302,12 @@ fn resume_rejects_corrupt_and_missing_snapshots_with_2() {
         .map(|e| e.expect("dir entry").path())
         .find(|p| p.extension().is_some_and(|x| x == "pactsnap"))
         .expect("at least one snapshot");
+    (dir, snap)
+}
+
+#[test]
+fn resume_rejects_corrupt_and_missing_snapshots_with_2() {
+    let (dir, snap) = first_snapshot("snap_corrupt", "2");
     // Flip a byte deep in the frame payload: checksum mismatch, not UB.
     let mut bytes = std::fs::read(&snap).expect("read snapshot");
     let mid = bytes.len() / 2;
@@ -314,6 +322,46 @@ fn resume_rejects_corrupt_and_missing_snapshots_with_2() {
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     let out = run(&["resume"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+}
+
+#[test]
+fn unknown_workload_exits_2_listing_valid_names() {
+    let (dir, snap) = first_snapshot("snap_unknown_workload", "42");
+    // The cell recipe's first string is the workload name.
+    let mut bytes = std::fs::read(&snap).expect("read snapshot");
+    let at = bytes.windows(4).position(|w| w == b"gups");
+    let at = at.expect("cell names its workload");
+    bytes[at..at + 4].copy_from_slice(b"nope");
+    let renamed = dir.join("renamed.pactsnap");
+    std::fs::write(&renamed, &bytes).expect("write renamed snapshot");
+    let out = dir.join("out").to_str().expect("utf8 path").to_string();
+    let from = renamed.to_str().expect("utf8 path");
+    let cases: [&[&str]; 9] = [
+        &["--workload", "nope", "--scale", "smoke"],
+        &["trace", "--workload", "nope", "--out", &out],
+        &["report", "--workload", "nope", "--out", &out],
+        &["snapshot", "--workload", "nope", "--out", &out],
+        &["serve-metrics", "--workload", "nope", "--self-check"],
+        &["fleet", "--tenants", "a:nope:1"],
+        &["fleet"],
+        &["resume", "--from", from],
+        &["check", "--oracle", "--workload", "nope"],
+    ];
+    for args in cases {
+        let mut cmd = tierctl(args);
+        if args == ["fleet"] {
+            // Bare `fleet` reads its tenants from the environment.
+            cmd.env("PACT_TENANTS", "a:nope:1");
+        }
+        let out = cmd.output().expect("spawn tierctl");
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.contains("bc-kron") && err.contains("zipf-drift"),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]

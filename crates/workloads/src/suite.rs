@@ -37,16 +37,38 @@ pub const SUITE: [&str; 12] = [
     "657.xz",
 ];
 
+/// Workloads [`build`] accepts beyond [`SUITE`]: the motivation-study
+/// workloads `"masim"` and `"gups"`, and the fleet-cell tenants
+/// `"mlc-hog"` (foreground bandwidth antagonist) and `"zipf-drift"`
+/// (skew-drift Zipf point lookups).
+pub const EXTRA: [&str; 4] = ["masim", "gups", "mlc-hog", "zipf-drift"];
+
+/// Whether [`build`] accepts `name`: a [`SUITE`] or [`EXTRA`] name.
+pub fn is_known(name: &str) -> bool {
+    SUITE.contains(&name) || EXTRA.contains(&name)
+}
+
+/// `Ok` when [`build`] accepts `name`, else a one-line error listing
+/// every name it does accept.
+pub fn check_known(name: &str) -> Result<(), String> {
+    if is_known(name) {
+        return Ok(());
+    }
+    let valid: Vec<&str> = SUITE.iter().chain(&EXTRA).copied().collect();
+    Err(format!(
+        "unknown workload '{name}'; valid names: {}",
+        valid.join(", ")
+    ))
+}
+
 /// Builds a suite workload by name.
 ///
-/// Accepts every name in [`SUITE`] plus the motivation-study workloads
-/// `"masim"` and `"gups"`, and the fleet-cell tenants `"mlc-hog"`
-/// (foreground bandwidth antagonist) and `"zipf-drift"` (skew-drift
-/// Zipf point lookups).
+/// Accepts exactly the names [`is_known`] accepts.
 ///
 /// # Panics
 ///
-/// Panics on an unknown name; use [`SUITE`] to enumerate valid ones.
+/// Panics on an unknown name; callers taking names from user input
+/// call [`check_known`] first.
 pub fn build(name: &str, scale: Scale, seed: u64) -> Box<dyn Workload> {
     let s = scale;
     match name {
@@ -121,9 +143,7 @@ pub fn build(name: &str, scale: Scale, seed: u64) -> Box<dyn Workload> {
             Scale::Smoke => Box::new(ZipfDrift::new(256, 60_000, 0.99, 10_000, seed)),
             Scale::Paper => Box::new(ZipfDrift::new(6_144, 4_000_000, 0.99, 400_000, seed)),
         },
-        other => panic!(
-            "unknown workload '{other}'; valid names: {SUITE:?}, masim, gups, mlc-hog, zipf-drift"
-        ),
+        other => panic!("{}", check_known(other).unwrap_err()),
     }
 }
 
@@ -196,6 +216,16 @@ mod tests {
             let wl = build(name, Scale::Smoke, 1);
             assert!(!wl.streams().is_empty());
         }
+    }
+
+    #[test]
+    fn known_names_are_exactly_the_built_ones() {
+        for name in SUITE.iter().chain(&EXTRA) {
+            assert!(is_known(name), "{name}");
+            assert_eq!(build(name, Scale::Smoke, 1).name(), *name);
+        }
+        assert!(!is_known("nope") && !is_known(""));
+        assert!(check_known("nope").unwrap_err().contains("zipf-drift"));
     }
 
     #[test]
