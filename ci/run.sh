@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Offline CI gate: format, lint, build, tests, perf-regression gate,
+# Offline CI gate: format, lint, build, tests, the same-host perf gate,
 # observability / fault / invariant smoke checks.
 #
 # The workspace is fully hermetic — `rand`, `proptest`, and `criterion`
@@ -17,7 +17,7 @@
 # Stage names are validated against the roster below — a typo exits 2
 # naming the bad stage instead of silently skipping everything.
 #
-# Stages: fmt lint build test workspace perf machine-perf obs obs-report fault snapshot check fleet fleet-perf
+# Stages: fmt lint build test workspace perf obs obs-report fault snapshot check fleet
 #
 # PACT_JOBS is pinned so sweep-shaped tests exercise the parallel
 # executor deterministically regardless of the runner's core count.
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE="${CARGO_NET_OFFLINE:-true}"
 export PACT_JOBS="${PACT_JOBS:-4}"
 
-ROSTER="fmt lint build test workspace perf machine-perf obs obs-report fault snapshot check fleet fleet-perf"
+ROSTER="fmt lint build test workspace perf obs obs-report fault snapshot check fleet"
 STAGES="${PACT_CI_STAGES:-$ROSTER}"
 for s in $STAGES; do
     case " $ROSTER " in
@@ -105,23 +105,12 @@ stage_workspace() {
     cargo test --workspace -q
 }
 
-# Perf-regression gate: a fresh probe sweep must stay bit-identical and
-# keep serial sim_cycles_per_sec within 20% of the committed baseline.
-# (Refresh the baseline with `cargo run --release -p pact-bench --bin
-# probe_sweep` and commit the new BENCH_sweep.json.)
+# Same-host perf gate (ci/perf.sh): simbench built from HEAD^1 and from
+# the working tree, run in alternating pairs on this runner; fails on a
+# failed correctness check or a >20% drop in median accesses_per_s on
+# any benchmark workload. Raw output stays in target/ci-perf.
 stage_perf() {
-    cargo run --release -p pact-bench --bin probe_sweep -- \
-        --check-against BENCH_sweep.json
-}
-
-# Machine-loop perf-regression gate: one large many-threaded cell run
-# twice must stay bit-identical, and the faster run's
-# sim_cycles_per_sec must stay within 20% of the committed baseline.
-# (Refresh with `cargo run --release -p pact-bench --bin probe_machine`
-# and commit the new BENCH_machine.json.)
-stage_machine_perf() {
-    cargo run --release -p pact-bench --bin probe_machine -- \
-        --check-against BENCH_machine.json
+    sh ci/perf.sh
 }
 
 stage_obs() {
@@ -286,16 +275,6 @@ stage_fleet() {
         exit 1
     }
     echo "    fleet byte-identical across repeated runs x PACT_JOBS={2,4}, nonzero rejections"
-}
-
-# Fleet perf-regression gate: the probe's two runs must stay
-# bit-identical with nonzero rejections, and the faster run's
-# sim_cycles_per_sec must stay within 20% of the committed baseline.
-# (Refresh with `cargo run --release -p pact-bench --bin probe_fleet`
-# and commit the new BENCH_fleet.json.)
-stage_fleet_perf() {
-    cargo run --release -p pact-bench --bin probe_fleet -- \
-        --check-against BENCH_fleet.json
 }
 
 # --- driver ----------------------------------------------------------

@@ -6,7 +6,8 @@
 //!
 //! * worker-count permutations (`jobs = 2` and `jobs = 8`) — pins the
 //!   executor's scheduling-independence guarantee from the outside,
-//!   complementing `probe_sweep`'s serial-vs-`PACT_JOBS` check;
+//!   complementing the serial-vs-parallel checks of
+//!   `tests/parallel_determinism.rs` (`jobs` 2, 3, 4 and 16);
 //! * the runtime invariant set armed on every machine — pins the
 //!   zero-cost-when-off *and* correct-when-on contract across a whole
 //!   sweep, not just one cell;

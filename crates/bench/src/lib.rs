@@ -22,7 +22,6 @@
 mod cli;
 pub mod env;
 pub mod exec;
-pub mod gate;
 mod report;
 mod runner;
 pub mod serve;
@@ -33,7 +32,7 @@ pub use cli::{
     validate_fault_env, Options,
 };
 pub use exec::{jobs_from_env, run_indexed, try_run_indexed};
-pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, JsonWriter, Table};
+pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, Table};
 pub use runner::{
     experiment_machine, is_runnable_policy, make_policy, ratio_sweep, ratio_sweep_jobs,
     ratio_sweep_traced, Harness, Outcome, PolicyError, SweepResult, TierRatio, ALL_POLICIES,
